@@ -53,11 +53,8 @@ from .core import (  # noqa: E402
     TruncationError,
     UsageError,
     ValidationError,
-    apply,
     build_fock,
     hs_inner,
-    materialize,
-    superop_from_terms,
     support_weight,
     unvec,
     vec,
@@ -109,6 +106,7 @@ from .measurement import (  # noqa: E402
     coherent_vector,
     deriv_z,
     deriv_zbar,
+    density_series,
     position_probability,
     post_measurement,
     povm_identity_residual,
@@ -125,8 +123,7 @@ __all__ = [
     "TruncationError", "ConvergenceError", "ConsistencyError",
     "DegenerateOscillatorError", "MeasurementImpossibleError", "NumericalError",
     "ModelParams", "FockContext", "QuantumState", "SuperOperator",
-    "build_fock", "hs_inner", "vec", "unvec", "apply", "materialize",
-    "superop_from_terms", "support_weight",
+    "build_fock", "hs_inner", "vec", "unvec", "support_weight",
     # observables
     "ObservableSet", "observables", "position_ops", "momentum_ops",
     "angular_momentum", "rotate", "time_reverse", "time_reverse_conjugate",
@@ -141,7 +138,8 @@ __all__ = [
     "interior_residual", "continuity_residual",
     # measurement
     "TruncationWarning", "coherent_vector", "coherent_tail", "coherent_state_op",
-    "StateSymbol", "symbol", "deriv_z", "deriv_zbar", "position_probability",
+    "StateSymbol", "symbol", "deriv_z", "deriv_zbar", "density_series",
+    "position_probability",
     "GridSpec", "ProbabilityGrid", "probability_grid", "povm_matrix",
     "post_measurement", "povm_identity_residual",
     "__version__",

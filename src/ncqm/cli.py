@@ -54,7 +54,7 @@ from .dynamics import (
 from .measurement import (
     GridSpec,
     coherent_state_op,
-    position_probability,
+    density_series,
     povm_identity_residual,
     povm_matrix,
     probability_grid,
@@ -239,7 +239,10 @@ def _load_state_file(path: str) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise UsageError(f"state file {path} must hold a square matrix, got shape {arr.shape}")
-    return arr.astype(complex)
+    arr = arr.astype(complex)
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"state file {path} holds non-finite (NaN or inf) entries")
+    return arr
 
 
 def _sigma_x(opts: dict) -> float:
@@ -743,7 +746,7 @@ def _suite_symmetry(opts: dict) -> list[dict]:
 
 
 def _suite_povm(opts: dict) -> list[dict]:
-    """Positivity, series-versus-matrix agreement, and the resolution of identity."""
+    """Positivity, the projector POVM against the derivative series, and the resolution of identity."""
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 24
     theta = _need_positive_theta(opts, "the position measure")
     ctx = build_fock(_params(opts, cutoff))
@@ -761,7 +764,7 @@ def _suite_povm(opts: dict) -> list[dict]:
         for psi in states:
             v = vec(psi.op)
             quad = float((v.conj() @ (pi_z @ v)).real)
-            series = position_probability(ctx, psi, z)
+            series = density_series(ctx, psi, z)
             worst = max(worst, abs(quad - series) / max(series, 1e-300))
     rows.append(_check_row("series_vs_matrix_agreement", worst, 1e-10))
 

@@ -31,9 +31,6 @@ __all__ = [
     "SuperOperator",
     "build_fock",
     "hs_inner",
-    "superop_from_terms",
-    "apply",
-    "materialize",
     "support_weight",
     "vec",
     "unvec",
@@ -321,18 +318,6 @@ class SuperOperator:
 
     def __repr__(self):
         return f"SuperOperator(cutoff={self.cutoff}, terms={len(self.terms)}, hermitian={self.hermitian_on_Hq})"
-
-
-def superop_from_terms(terms, hermitian_on_Hq: bool = False) -> SuperOperator:
-    return SuperOperator(terms, hermitian_on_Hq=hermitian_on_Hq)
-
-
-def apply(s: SuperOperator, psi: QuantumState) -> QuantumState:
-    return s.apply(psi)
-
-
-def materialize(s: SuperOperator) -> np.ndarray:
-    return s.matrix
 
 
 def support_weight(psi: QuantumState, m: int) -> float:

@@ -167,11 +167,7 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
     if not (1 <= count <= n * n):
         raise UsageError(f"count must be in 1 .. {n * n}, got {count}")
 
-    mat = h.matrix
-    defect = np.max(np.abs(mat - mat.conj().T))
-    if defect > 1e-12 * max(1.0, np.max(np.abs(mat))):
-        raise ValidationError(f"Hamiltonian matrix is not Hermitian (defect {defect:.3e})")
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = _eig_cached(h)
 
     lz_diag = _lz_diagonal(h.ctx)
     scale = max(1.0, float(np.max(np.abs(evals))))
@@ -229,13 +225,15 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
     )
 
 
-def _eig_cached(h: SuperOperator):
+def _eig_cached(h: Hamiltonian):
+    """One eigendecomposition per Hamiltonian, shared by solve_spectrum and evolve.
+
+    h.matrix already refused a non-Hermitian matrix (ConsistencyError), since
+    every Hamiltonian carries the Hermitian flag.
+    """
     mat = h.matrix  # materialized under the operator's own lock
     with h._lock:
         if h._eig is None:
-            defect = np.max(np.abs(mat - mat.conj().T))
-            if defect > 1e-12 * max(1.0, np.max(np.abs(mat))):
-                raise ValidationError(f"evolution needs a Hermitian generator (defect {defect:.3e})")
             h._eig = np.linalg.eigh(mat)
         return h._eig
 

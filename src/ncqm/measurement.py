@@ -1,15 +1,23 @@
 """Coherent states, state symbols, the position POVM, and measurement updates.
 
-Position statistics come from the coherent-state POVM: with the symbol
-f(z) = <z|psi|z>, the density at dimensionless z = (x1 + i x2)/sqrt(2 theta) is
+Position statistics come from the coherent-state POVM.  With the symbol
+f(z) = <z|psi|z>, the paper's density at dimensionless z = (x1 + i x2)/sqrt(2 theta),
 
     P(z) = (1 / 2 pi theta) sum_k (1/k!) |d^k f / dz^k|^2,
 
-a manifestly nonnegative series.  Two independent evaluation paths are kept:
-a derivative recurrence chain (series path, used for pointwise densities and
-grids) and a closed-form kernel for the k-th derivative functionals (matrix
-path, used to materialize the POVM element itself); they cross-validate each
-other to machine precision.
+resums to the closed form
+
+    P(z) = <z| psi psi^dag |z> / (2 pi theta) = ||psi^dag |z>||^2 / (2 pi theta),
+
+so the POVM element pi_z is left multiplication by |z><z| / (2 pi theta).  The
+identity is exact at any cutoff: psi psi^dag lives in the N x N block, so only
+the first N Fock components of |z> enter.  Densities, grids, the POVM matrix,
+the measurement update and the identity quadrature are all short products with
+the truncated coherent vector.
+
+The derivative series itself is kept as an independent oracle,
+density_series, built on the exact symbol calculus (symbol, deriv_z,
+deriv_zbar); the povm check suite and the tests compare the two paths.
 
 Everything is evaluated in the scaled basis g_a(z) = z^a e^{-|z|^2/2}/sqrt(a!),
 generated by a stable recurrence with |g_a| <= 1, so no factorials are ever
@@ -32,8 +40,6 @@ from .core import (
     QuantumState,
     TruncationError,
     UsageError,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -45,6 +51,7 @@ __all__ = [
     "symbol",
     "deriv_z",
     "deriv_zbar",
+    "density_series",
     "position_probability",
     "GridSpec",
     "ProbabilityGrid",
@@ -215,18 +222,34 @@ def _warn_if_unsafe(cutoff: int, z: complex) -> str | None:
     return None
 
 
-def position_probability(ctx: FockContext, psi: QuantumState, z: complex, max_terms: int = 200) -> float:
+def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: int = 200) -> float:
+    """Position density at z summed term by term from the paper's derivative series.
+
+    The independent oracle for position_probability and povm_matrix: it never
+    forms |z><z|, only the derivative chain of the state's symbol.  Raises
+    ConvergenceError when the series does not settle within max_terms terms.
+    """
+    total = _chain_densities(np.asarray(psi.op), np.array([complex(z)]), max_terms)
+    return float(total[0] / (2.0 * math.pi * ctx.params.theta))
+
+
+def _densities(psi_op: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """||psi^dag |z>||^2 at each point, one matrix product over all points."""
+    w = _coherent_basis(zs, psi_op.shape[0]) @ psi_op.conj()
+    return np.sum(w.real**2 + w.imag**2, axis=1)
+
+
+def position_probability(ctx: FockContext, psi: QuantumState, z: complex) -> float:
     """Position probability density of a normalized state at dimensionless z.
 
-    Nonnegative by construction (sum of squared derivative magnitudes).  Points
-    outside the cutoff's safe region emit TruncationWarning; a cap overrun
-    raises ConvergenceError.
+    Nonnegative by construction (a squared norm).  Points outside the cutoff's
+    safe region emit TruncationWarning.
     """
     z = complex(z)
     msg = _warn_if_unsafe(ctx.cutoff, z)
     if msg is not None:
         warnings.warn(msg, TruncationWarning, stacklevel=2)
-    total = _chain_densities(np.asarray(psi.op), np.array([z]), max_terms)
+    total = _densities(np.asarray(psi.op), np.array([z]))
     return float(total[0] / (2.0 * math.pi * ctx.params.theta))
 
 
@@ -267,14 +290,11 @@ class ProbabilityGrid:
     warnings: tuple[str, ...] = ()
 
 
-def probability_grid(
-    ctx: FockContext, psi: QuantumState, grid: GridSpec, max_terms: int = 200
-) -> ProbabilityGrid:
+def probability_grid(ctx: FockContext, psi: QuantumState, grid: GridSpec) -> ProbabilityGrid:
     """Evaluate the position density over a grid; embarrassingly parallel over points.
 
-    z = (x1 + i x2)/sqrt(2 theta) per point; one shared derivative chain serves
-    every point (the chain tables depend only on the state), so the whole grid
-    costs a few matrix products per series term.
+    z = (x1 + i x2)/sqrt(2 theta) per point; the whole grid is one product of
+    the points' truncated coherent vectors with conj(psi).
     """
     x1, x2 = grid.axes()
     theta = ctx.params.theta
@@ -290,7 +310,7 @@ def probability_grid(
         unsafe = int(np.sum(tails >= 1e-8))
         notes.append(f"{unsafe} of {len(zs)} grid points truncation-unsafe; worst: {msg}")
 
-    total = _chain_densities(np.asarray(psi.op), zs, max_terms)
+    total = _densities(np.asarray(psi.op), zs)
     values = (total / (2.0 * math.pi * theta)).reshape(grid.points)
     norm_est = float(np.trapezoid(np.trapezoid(values, x2, axis=1), x1))
     return ProbabilityGrid(
@@ -302,77 +322,36 @@ def probability_grid(
     )
 
 
-def _kernel_rows(z: complex, a_dim: int, b_dim: int, max_terms: int) -> np.ndarray:
-    """Closed-form rows of the scaled derivative functionals at z.
-
-    Row k holds (1/sqrt(k!)) d^k/dz^k of the symbol of the matrix unit |a><b|,
-    evaluated at z, for every (a, b); the Leibniz sum over how many derivatives
-    hit the g_b factor versus the Gaussian of conj(g_a).  Rows are emitted until
-    their norm falls below 1e-16 of the running total (three in a row), giving
-    the factored POVM kernel pi_z = W^dag W / (2 pi theta).
-    """
-    z = complex(z)
-    gz = coherent_vector(b_dim, z)
-    ga = coherent_vector(a_dim, z)
-
-    # p_n(-zbar) = (-zbar)^n / sqrt(n!)
-    pm = np.empty(max_terms + 1, dtype=complex)
-    pm[0] = 1.0
-    for k in range(1, max_terms + 1):
-        pm[k] = pm[k - 1] * (-np.conj(z)) / math.sqrt(k)
-
-    rows = []
-    total = 0.0
-    below = 0
-    bs = np.arange(b_dim, dtype=float)
-    for k in range(max_terms + 1):
-        t_row = np.zeros(b_dim, dtype=complex)
-        c = np.ones(b_dim)  # c[b] = sqrt(falling(k, j) * falling(b, j)) / j!
-        for j in range(0, min(k, b_dim - 1) + 1):
-            if j > 0:
-                c = c * np.sqrt((k - j + 1) * np.maximum(bs - j + 1, 0.0)) / j
-            t_row[j:] += c[j:] * pm[k - j] * gz[: b_dim - j]
-        w_row = (ga.conj()[:, None] * t_row[None, :]).reshape(-1)
-        rows.append(w_row)
-        size = float(np.vdot(w_row, w_row).real)
-        total += size
-        below = below + 1 if size <= 1e-16 * total else 0
-        if below >= 3:
-            break
-    else:
-        raise ConvergenceError(f"POVM kernel rows did not decay within {max_terms} terms at z = {z}")
-    return np.array(rows)
-
-
-def povm_matrix(ctx: FockContext, z: complex, max_terms: int = 200) -> np.ndarray:
+def povm_matrix(ctx: FockContext, z: complex) -> np.ndarray:
     """The POVM element pi_z as a dense Hermitian PSD matrix on the state space.
 
-    Built as W^dag W / (2 pi theta) from the derivative-functional rows, so
-    positivity is structural, and the quadratic form (psi| pi_z |psi) agrees
-    with the independent series path of position_probability.
+    Left multiplication by |z><z| / (2 pi theta), i.e. kron(v v^dag, I) under
+    the vec convention, with v the truncated coherent vector; PSD by
+    construction.
     """
     n = ctx.cutoff
-    w = _kernel_rows(z, n, n, max_terms)
-    return (w.conj().T @ w) / (2.0 * math.pi * ctx.params.theta)
+    v = coherent_vector(n, z)
+    return np.kron(np.outer(v, v.conj()), np.eye(n)) / (2.0 * math.pi * ctx.params.theta)
 
 
 def post_measurement(ctx: FockContext, psi: QuantumState, z: complex) -> QuantumState:
     """State after detecting the particle at z: sqrt(pi_z) psi, renormalized.
 
     Uses the unique PSD square root (the detection operator is fixed only up to
-    a unitary; identity is the canonical choice).  Raises
-    MeasurementImpossibleError when the detection probability is below 1e-14.
+    a unitary; identity is the canonical choice).  Since sqrt(v v^dag) =
+    v v^dag / ||v||, the update is the normalized |v>(v^dag psi).  Raises
+    MeasurementImpossibleError when the detection probability
+    ||v^dag psi||^2 / (2 pi theta) is below 1e-14.
     """
-    pi_z = povm_matrix(ctx, z)
-    evals, evecs = np.linalg.eigh(pi_z)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ evecs.conj().T
-    phi = root @ vec(psi.op)
-    prob = float(np.vdot(phi, phi).real)
+    v = coherent_vector(ctx.cutoff, z)
+    row = v.conj() @ np.asarray(psi.op)
+    prob = float(np.vdot(row, row).real) / (2.0 * math.pi * ctx.params.theta)
     if prob < 1e-14:
         raise MeasurementImpossibleError(
             f"detection probability {prob:.3e} at z = {z} is numerically zero"
         )
-    return QuantumState(unvec(phi / math.sqrt(prob), ctx.cutoff))
+    phi = np.outer(v, row)
+    return QuantumState(phi / np.linalg.norm(phi))
 
 
 def povm_identity_residual(
@@ -382,7 +361,10 @@ def povm_identity_residual(
 
     Quadrature of pi_z dx1 dx2 over the square [-extent, extent]^2, restricted
     to the span of matrix units |m><n| with m, n < span, compared to the
-    identity there.  Limited by quadrature extent/step, not by the POVM itself.
+    identity there.  pi_z acts there as kron(|z><z|, I) / (2 pi theta) and
+    ||kron(A - I, I)||_2 = ||A - I||_2, so the span x span quadrature of
+    |z><z| / (2 pi theta) gives the same residual.  Limited by quadrature
+    extent/step, not by the POVM itself.
     """
     if span > ctx.cutoff:
         raise UsageError(f"span {span} exceeds cutoff {ctx.cutoff}")
@@ -392,12 +374,8 @@ def povm_identity_residual(
     w1[-1] *= 0.5
     theta = ctx.params.theta
 
-    dim = span * span
-    acc = np.zeros((dim, dim), dtype=complex)
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            z = (x1 + 1j * x2) / math.sqrt(2.0 * theta)
-            w = _kernel_rows(z, span, span, 200)
-            acc += (w1[i] * w1[j]) * (w.conj().T @ w)
-    acc /= 2.0 * math.pi * theta
-    return float(np.linalg.norm(acc - np.eye(dim), 2))
+    zs = ((xs[:, None] + 1j * xs[None, :]) / math.sqrt(2.0 * theta)).reshape(-1)
+    weights = np.outer(w1, w1).reshape(-1)
+    vs = _coherent_basis(zs, span)
+    acc = (vs.T * weights) @ vs.conj() / (2.0 * math.pi * theta)
+    return float(np.linalg.norm(acc - np.eye(span), 2))

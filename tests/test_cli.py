@@ -322,6 +322,22 @@ def test_evolve_state_file(capsys, tmp_path):
     assert report["norm_drift"] < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
+    arr = np.eye(12, dtype=complex)
+    arr[3, 5] = bad
+    state_path = tmp_path / "bad.npy"
+    np.save(state_path, arr)
+    for argv in (
+        ["probability", "--state", f"file:{state_path}", "--out", str(tmp_path / "bad.csv")],
+        ["evolve", "--system", "free", "--state", f"file:{state_path}", "--time", "1.0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert str(state_path) in err and "non-finite" in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 # ---------------------------------------------------------------- check
 
 @pytest.mark.parametrize("suite", ["algebra", "symmetry", "continuity"])

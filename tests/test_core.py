@@ -14,12 +14,9 @@ from ncqm import (
     QuantumState,
     SuperOperator,
     UsageError,
-    apply,
     build_fock,
     coherent_state_op,
     hs_inner,
-    materialize,
-    superop_from_terms,
     support_weight,
     unvec,
     vec,
@@ -211,8 +208,8 @@ def test_superop_rejects_empty_or_ragged_terms():
 def test_apply_matches_materialized_matrix(rng):
     s = _random_superop(rng, 6)
     psi = full_state(rng, 6)
-    direct = apply(s, psi).op
-    via_matrix = unvec(materialize(s) @ vec(psi.op), 6)
+    direct = s.apply(psi).op
+    via_matrix = unvec(s.matrix @ vec(psi.op), 6)
     assert np.max(np.abs(direct - via_matrix)) < 1e-12 * np.max(np.abs(direct))
 
 
@@ -253,7 +250,7 @@ def test_superop_cutoff_mismatch_raises(rng):
 
 def test_false_hermitian_flag_is_detected(ctx01):
     # left multiplication by b alone is not Hermitian on the state space
-    lying = superop_from_terms(
+    lying = SuperOperator(
         [(np.array(ctx01.b), np.eye(ctx01.cutoff, dtype=complex))], hermitian_on_Hq=True
     )
     with pytest.raises(ConsistencyError):

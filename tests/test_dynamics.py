@@ -188,6 +188,23 @@ def test_evolve_ground_state_is_stationary(ctx12):
     assert abs(out.norm - 1.0) < 1e-13
 
 
+def test_spectrum_and_evolve_share_one_eigendecomposition(ctx12, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    h = hamiltonian(ctx12, OSC)
+    res = solve_spectrum(h, 1)  # the ground level is simple: no cluster eigh
+    solve_spectrum(h, 1)
+    out = evolve(res.eigenstates[0], h, 1.5)
+    assert calls == [(144, 144)]
+    assert abs(abs(hs_inner(res.eigenstates[0], out)) - 1.0) < 1e-12
+
+
 def test_evolve_requires_hamiltonian(ctx12):
     psi = QuantumState(np.eye(12, dtype=complex))
     s = SuperOperator([(np.eye(12, dtype=complex), np.eye(12, dtype=complex))])

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncqm import (
     ConvergenceError,
@@ -14,10 +17,12 @@ from ncqm import (
     TruncationError,
     TruncationWarning,
     UsageError,
+    alpha,
     build_fock,
     coherent_state_op,
     coherent_tail,
     coherent_vector,
+    density_series,
     deriv_z,
     deriv_zbar,
     ground_probability,
@@ -30,6 +35,7 @@ from ncqm import (
     probability_grid,
     rotate,
     symbol,
+    unvec,
     vec,
 )
 from conftest import full_state, interior_state
@@ -166,7 +172,7 @@ def test_vacuum_density_sums_the_whole_chain(ctx16):
     c = 2.0 * math.pi * THETA
     for z in (0.0, 0.5, 1.2 - 0.3j):
         want = math.exp(-abs(z) ** 2) / c
-        assert position_probability(ctx16, vac, z) == pytest.approx(want, rel=1e-12)
+        assert density_series(ctx16, vac, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_ground_density_matches_closed_form():
@@ -200,7 +206,62 @@ def test_density_series_cap_raises(ctx16):
     rng = np.random.default_rng(15)
     psi = full_state(rng, 16)
     with pytest.raises(ConvergenceError, match="cap"):
-        position_probability(ctx16, psi, 1.0, max_terms=3)
+        density_series(ctx16, psi, 1.0, max_terms=3)
+
+
+@given(
+    st.floats(-6.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_projector_density_matches_series_over_parameter_box(
+    log_theta, log_hbar, log_mass, log_omega, seed, radius, angle
+):
+    # criterion 9's box; the oscillator ground profile e^{alpha n} carries
+    # hbar, m and omega, a seeded interior block makes the state generic
+    params = ModelParams(theta=10.0**log_theta, hbar=10.0**log_hbar, mass=10.0**log_mass,
+                         omega=10.0**log_omega, cutoff=24)
+    ctx = build_fock(params)
+    rng = np.random.default_rng(seed)
+    ground = np.diag(np.exp(alpha(params) * np.arange(24))).astype(complex)
+    ground[18:, 18:] = 0.0
+    psi = QuantumState(ground + 0.3 * interior_state(rng, 24, 6).op).normalized()
+    z = radius * 2.0 * np.exp(1j * angle)  # |z|^2 <= 4: truncation-safe at N = 24
+    scale = 2.0 * math.pi * params.theta  # turns densities into numbers <= 1
+    got = scale * position_probability(ctx, psi, z)
+    want = scale * density_series(ctx, psi, z)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-14)
+
+
+def _mp_density(psi_op, theta, z):
+    # ||psi^dag |z>||^2 / (2 pi theta) with the truncated |z>, in 50 digits
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z.real, z.imag)
+        n = psi_op.shape[0]
+        v = [mpmath.exp(-abs(zm) ** 2 / 2) * zm**a / mpmath.sqrt(mpmath.factorial(a))
+             for a in range(n)]
+        ops = [[mpmath.mpc(c.real, c.imag) for c in row] for row in psi_op]
+        total = mpmath.mpf(0)
+        for b in range(n):
+            w = mpmath.fsum(mpmath.conj(ops[a][b]) * v[a] for a in range(n))
+            total += abs(w) ** 2
+        return float(total / (2 * mpmath.pi * theta))
+
+
+def test_projector_density_matches_mpmath_at_unsafe_points():
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=30))
+    psi0 = ground_state(ctx)
+    op = np.asarray(psi0.op)
+    peak = position_probability(ctx, psi0, 0.0)
+    assert peak == pytest.approx(_mp_density(op, THETA, 0j), rel=1e-14)
+    for z in (2.6 + 2.6j, 3.5 + 0j):
+        with pytest.warns(TruncationWarning, match="truncation-unsafe"):
+            got = position_probability(ctx, psi0, z)
+        assert abs(got - _mp_density(op, THETA, z)) < 1e-14 * peak
 
 
 # ---------------------------------------------------------------- grids
@@ -265,7 +326,7 @@ def test_povm_quadratic_form_matches_series(ctx16):
         pi_z = povm_matrix(ctx16, z)
         v = vec(psi.op)
         quad = float(np.real(v.conj() @ pi_z @ v))
-        assert quad == pytest.approx(position_probability(ctx16, psi, z), rel=1e-12)
+        assert quad == pytest.approx(density_series(ctx16, psi, z), rel=1e-12)
 
 
 def test_povm_vacuum_expectation_at_origin(ctx16):
@@ -275,15 +336,24 @@ def test_povm_vacuum_expectation_at_origin(ctx16):
     assert quad == pytest.approx(1.0 / (2.0 * math.pi * THETA), rel=1e-13)
 
 
-def test_povm_kernel_cap_raises(ctx16):
-    with pytest.raises(ConvergenceError, match="decay"):
-        povm_matrix(ctx16, 1.5, max_terms=2)
-
-
 def test_post_measurement_normalizes(ctx16):
     psi = coherent_state_op(ctx16, 0.5)
     out = post_measurement(ctx16, psi, 0.5)
     assert out.is_normalized(tol=1e-12)
+
+
+def test_post_measurement_matches_dense_square_root():
+    # sqrt(pi_z) psi through the eigendecomposition of the dense POVM element
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=8))
+    psi = interior_state(np.random.default_rng(17), 8, 2)
+    z = 0.5 - 0.7j
+    evals, evecs = np.linalg.eigh(povm_matrix(ctx, z))
+    evals = np.where(evals > 1e-12 * evals[-1], evals, 0.0)  # roundoff zeros stay zero
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    phi = root @ vec(psi.op)
+    want = unvec(phi / np.linalg.norm(phi), 8)
+    got = np.asarray(post_measurement(ctx, psi, z).op)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_post_measurement_impossible_detection():
