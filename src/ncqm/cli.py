@@ -174,7 +174,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError("the report holds NaN or inf, which JSON cannot carry; usually an input "
+                             "overflowed double precision (such as the phase of a huge --time)")
+    _emit(text + "\n", out)
+
+
+def _finite(opts: dict, key: str) -> float:
+    value = float(opts[key])
+    if not math.isfinite(value):
+        raise UsageError(f"--{key} must be a finite number, got {value}")
+    return value
 
 
 def _require_format(opts: dict, allowed: tuple[str, ...], command: str) -> str:
@@ -508,6 +520,8 @@ def _run_probability(args: argparse.Namespace) -> int:
     if opts["out"] is None:
         raise UsageError("probability writes a CSV grid plus a JSON sidecar; pass --out PATH")
     points = int(opts["points"])
+    if opts["extent"] is not None:
+        _finite(opts, "extent")
     kind, detail = _parse_state_selector(opts["state"])
     ctx, psi, extent, notes = _build_state(kind, detail, opts)
 
@@ -548,7 +562,7 @@ def _run_probability(args: argparse.Namespace) -> int:
 def _run_evolve(args: argparse.Namespace) -> int:
     opts = _resolve(args, "evolve")
     _require_format(opts, ("json",), "evolve")
-    t = float(opts["time"])
+    t = _finite(opts, "time")
     system = str(opts["system"])
     state_raw = str(opts["state"])
     if system == "free" and state_raw == "ground" and opts["kappa"] is not None:
@@ -566,7 +580,8 @@ def _run_evolve(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown system {system!r}; use oscillator or free")
 
-    psi_t = evolve(psi0, h, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_t = evolve(psi0, h, t)  # a phase w t that overflows gives NaN, which _emit_json refuses
     e0 = hs_inner(psi0, h.apply(psi0)).real
     e1 = hs_inner(psi_t, h.apply(psi_t)).real
     report = {

@@ -227,10 +227,10 @@ class SuperOperator:
     Application is matrix-free; `matrix` materializes sum_t kron(L_t, R_t^T)
     under the vec convention above and caches it (lock-guarded, so concurrent
     readers see one consistent array).  Operators compose with @, add with +,
-    and scale with *.
+    and scale with * (a real scalar keeps the Hermitian flag).
     """
 
-    __slots__ = ("terms", "hermitian_on_Hq", "_matrix", "_eig", "_lock")
+    __slots__ = ("terms", "hermitian_on_Hq", "_matrix", "_lock")
 
     def __init__(self, terms, hermitian_on_Hq: bool = False):
         terms = [(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)) for left, right in terms]
@@ -243,8 +243,7 @@ class SuperOperator:
         self.terms = tuple((_readonly(left), _readonly(right)) for left, right in terms)
         self.hermitian_on_Hq = bool(hermitian_on_Hq)
         self._matrix = None
-        self._eig = None
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     @property
     def cutoff(self) -> int:
@@ -312,7 +311,10 @@ class SuperOperator:
 
     def __mul__(self, scalar) -> "SuperOperator":
         scalar = complex(scalar)
-        return SuperOperator([(scalar * left, right) for left, right in self.terms])
+        return SuperOperator(
+            [(scalar * left, right) for left, right in self.terms],
+            hermitian_on_Hq=self.hermitian_on_Hq and scalar.imag == 0.0,
+        )
 
     __rmul__ = __mul__
 

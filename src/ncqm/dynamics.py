@@ -77,15 +77,16 @@ class HamiltonianSpec:
 
 
 class Hamiltonian(SuperOperator):
-    """A Hamiltonian superoperator that remembers its context and potential part."""
+    """A Hamiltonian superoperator that remembers its context, potential part and _eig_cached."""
 
-    __slots__ = ("ctx", "spec", "v_matrix")
+    __slots__ = ("ctx", "spec", "v_matrix", "_eig")
 
     def __init__(self, terms, ctx: FockContext, spec: HamiltonianSpec, v_matrix: np.ndarray):
         super().__init__(terms, hermitian_on_Hq=True)
         self.ctx = ctx
         self.spec = spec
         self.v_matrix = v_matrix
+        self._eig = None
 
 
 def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
@@ -151,12 +152,6 @@ class SpectrumResult:
     boundary_weights: np.ndarray
 
 
-def _label_diagonal(ctx: FockContext) -> np.ndarray:
-    # exact angular-momentum label -hbar (m - l) of the matrix unit |m><l|, vec ordering
-    levels = np.arange(ctx.cutoff)
-    return (ctx.params.hbar * (levels[None, :] - levels[:, None])).reshape(-1)
-
-
 def _clusters(vals: np.ndarray, count: int, ctol: float) -> list[tuple[int, int]]:
     """Runs [i, j) of ascending vals whose neighbours lie closer than ctol.
 
@@ -192,8 +187,8 @@ def _sector_invariant(h: Hamiltonian) -> bool:
     return not np.any(v - np.diag(np.diagonal(v)))
 
 
-def _sector_spectrum(h: Hamiltonian, count: int):
-    """Lowest eigenpairs from the 2N-1 real symmetric tridiagonal sector blocks.
+def _sector_blocks(h: Hamiltonian) -> list:
+    """The 2N-1 real symmetric tridiagonal sector blocks of H, each diagonalized.
 
     The block entries come from H's own terms, so the truncated operator is the
     one the dense route materializes.  Sector k holds the units |i+k><i| (k >= 0)
@@ -215,69 +210,40 @@ def _sector_spectrum(h: Hamiltonian, count: int):
     hbar = h.ctx.params.hbar
     diag = (stacked(0, 0).T @ stacked(1, 0)).real  # [m, l]: unit |m><l| onto itself
     off = (stacked(0, -1).T @ stacked(1, 1)).real  # [m, l]: |m><l| onto |m+1><l+1|
-
-    sectors = list(range(1 - n, n))
-    blocks = [eigh_tridiagonal(np.diagonal(diag, -k), np.diagonal(off, -k)) for k in sectors]
-    vals = np.concatenate([w for w, _ in blocks])
-    where = [(s, j) for s, (w, _) in enumerate(blocks) for j in range(len(w))]
-    order = np.argsort(vals, kind="stable")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-
-    picked = []
-    for i, j in _clusters(vals[order], count, 1e-8 * scale):
-        # a run spans distinct sectors (a Jacobi block has simple eigenvalues): order by label
-        picked.extend(sorted(order[i:j], key=lambda q: -sectors[where[q][0]]))
-
-    values, labels, states = [], [], []
-    for q in picked[:count]:
-        s, j = where[q]
-        k = sectors[s]
+    blocks = []
+    for k in range(1 - n, n):
         rows = np.arange(n - abs(k)) + max(k, 0)
-        op = np.zeros((n, n), dtype=complex)
-        op[rows, rows - k] = _phase_fixed(blocks[s][1][:, j])
-        values.append(vals[q])
-        labels.append(hbar * -k)
-        states.append(QuantumState(op))
-    return values, labels, states
+        w, v = eigh_tridiagonal(np.diagonal(diag, -k), np.diagonal(off, -k))
+        blocks.append((rows * (n + 1) - k, hbar * -k, w, v))
+    return blocks
 
 
-def _dense_spectrum(h: Hamiltonian, count: int):
-    """Lowest eigenpairs from the eigh of the materialized N^2 x N^2 matrix.
+def _eig_cached(h: Hamiltonian) -> list:
+    """The one eigendecomposition of H, computed on first use; solve_spectrum and evolve share it.
 
-    Exact degeneracies are resolved by diagonalizing the label inside each
-    eigenvalue cluster (ascending label), which also makes the eigenvectors
-    deterministic.
+    A list of blocks (vec indices, label, eigenvalues ascending, eigenvectors
+    as columns).  A Hamiltonian that conserves k = m - l gets its 2N-1 sector
+    blocks, each carrying its exact label -hbar k, and no N^2 x N^2 matrix is
+    built.  Any other gets one block over all N^2 units with label None, from
+    the eigh of the materialized matrix; h.matrix has already refused a
+    non-Hermitian one (ConsistencyError), since every Hamiltonian carries the
+    Hermitian flag.
     """
-    n = h.cutoff
-    evals, evecs = _eig_cached(h)
-    label = _label_diagonal(h.ctx)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-
-    values, labels, states = [], [], []
-    for i, j in _clusters(evals, count, 1e-8 * scale):
-        block = evecs[:, i:j]
-        if j - i > 1:
-            label_block = block.conj().T @ (label[:, None] * block)
-            label_vals, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
-            block = block @ rot
-        else:
-            label_vals = [np.real(np.vdot(block[:, 0], label * block[:, 0]))]
-        for q in range(j - i):
-            values.append(evals[i + q])
-            labels.append(float(label_vals[q]))
-            states.append(QuantumState(unvec(_phase_fixed(block[:, q]), n)))
-    return values[:count], labels[:count], states[:count]
+    with h._lock:  # reentrant: h.matrix takes it too
+        if h._eig is None:
+            if _sector_invariant(h):
+                h._eig = _sector_blocks(h)
+            else:
+                h._eig = [(slice(None), None, *np.linalg.eigh(h.matrix))]
+        return h._eig
 
 
 def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
-    """Lowest `count` eigenpairs of H, by one of two routes that H itself selects.
+    """Lowest `count` eigenpairs of H, read off the blocks of _eig_cached, which evolve shares.
 
-    Sector route: when H conserves the label k = m - l of the matrix units
-    (free, oscillator, and potential tables whose v_matrix is diagonal), it is
-    block diagonal with 2N-1 real symmetric tridiagonal blocks of size N - |k|,
-    solved with scipy.linalg.eigh_tridiagonal; no N^2 x N^2 matrix is built.
-    Dense route: any other H (tables with v_mn != 0, m != n) is materialized
-    and diagonalized with one eigh, shared with evolve.
+    Free, oscillator, and potential tables whose v_matrix is diagonal give
+    2N-1 tridiagonal sector blocks of size N - |k|; any other table gives one
+    dense block over all N^2 units.
 
     Ordering: energy ascending; eigenvalues closer than 1e-8 of the spectral
     scale form one degenerate cluster, ordered by ascending lz_expectations
@@ -290,44 +256,64 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
     if not (1 <= count <= n * n):
         raise UsageError(f"count must be in 1 .. {n * n}, got {count}")
 
-    route = _sector_spectrum if _sector_invariant(h) else _dense_spectrum
-    values, labels, states = route(h, count)
+    blocks = _eig_cached(h)
+    vals = np.concatenate([w for _, _, w, _ in blocks])
+    where = [(b, q) for b, (_, _, w, _) in enumerate(blocks) for q in range(len(w))]
+    order = np.argsort(vals, kind="stable")
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    levels = np.arange(n)  # the exact label -hbar (m - l) of each unit |m><l|, vec ordering:
+    label = (h.ctx.params.hbar * (levels[None, :] - levels[:, None])).reshape(-1)
+
+    picked = []  # (eigenvalue, label, vec indices, eigenvector)
+    for i, j in _clusters(vals[order], count, 1e-8 * scale):
+        run = [where[q] for q in order[i:j]]
+        if all(blocks[b][1] is not None for b, _ in run):
+            # a run spans distinct sectors (a Jacobi block has simple eigenvalues): order by label
+            for b, q in sorted(run, key=lambda r: blocks[r[0]][1]):
+                idx, lz, w, v = blocks[b]
+                picked.append((w[q], lz, idx, v[:, q]))
+        else:
+            # the dense block: diagonalize the label inside the run (ascending)
+            idx, _, w, v = blocks[0]
+            cols = [q for _, q in run]
+            vecs = v[:, cols]
+            label_block = vecs.conj().T @ (label[:, None] * vecs)
+            label_vals, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
+            for q, lz, u in zip(cols, label_vals, (vecs @ rot).T):
+                picked.append((w[q], float(lz), idx, u))
+
+    states = []
+    for _, _, idx, u in picked[:count]:
+        op = np.zeros(n * n, dtype=complex)
+        op[idx] = _phase_fixed(u)
+        states.append(QuantumState(unvec(op, n)))
     guard = max(n - 4, 0)
     return SpectrumResult(
-        eigenvalues=np.array(values),
+        eigenvalues=np.array([e for e, _, _, _ in picked[:count]]),
         eigenstates=states,
-        lz_expectations=np.array(labels),
+        lz_expectations=np.array([lz for _, lz, _, _ in picked[:count]]),
         boundary_weights=np.array([support_weight(s, guard) for s in states]),
     )
 
 
-def _eig_cached(h: Hamiltonian):
-    """One eigendecomposition per Hamiltonian, shared by solve_spectrum and evolve.
-
-    h.matrix already refused a non-Hermitian matrix (ConsistencyError), since
-    every Hamiltonian carries the Hermitian flag.
-    """
-    mat = h.matrix  # materialized under the operator's own lock
-    with h._lock:
-        if h._eig is None:
-            h._eig = np.linalg.eigh(mat)
-        return h._eig
-
-
 def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
-    """exp(-i H t / hbar) psi0 through the spectral decomposition of H.
+    """exp(-i H t / hbar) psi0, block by block through the blocks of _eig_cached.
 
-    The decomposition is computed once per Hamiltonian and reused (read-only),
-    so repeated and concurrent calls are cheap and safe.  Unitarity is exact up
-    to roundoff for any real t.
+    For H conserving k = m - l each sector of psi0 evolves on its own, O(N^3)
+    in all, with no N^2 x N^2 matrix.  The blocks are shared with
+    solve_spectrum and read-only, so repeated and concurrent calls are cheap
+    and safe.  Unitarity is exact up to roundoff for any real t.
     """
     if not isinstance(h, Hamiltonian):
         raise UsageError("evolve needs a Hamiltonian built by hamiltonian()")
+    if psi0.cutoff != h.cutoff:
+        raise UsageError(f"cutoff mismatch: Hamiltonian {h.cutoff}, state {psi0.cutoff}")
     hbar = h.ctx.params.hbar
-    evals, evecs = _eig_cached(h)
-    coeff = evecs.conj().T @ vec(psi0.op)
-    coeff = coeff * np.exp(-1j * evals * t / hbar)
-    return QuantumState(unvec(evecs @ coeff, psi0.cutoff))
+    psi = vec(psi0.op)
+    out = np.empty_like(psi)
+    for idx, _, w, v in _eig_cached(h):
+        out[idx] = v @ (np.exp(-1j * w * t / hbar) * (v.conj().T @ psi[idx]))
+    return QuantumState(unvec(out, h.cutoff))
 
 
 def boundary_defect_depth(kappa: complex, cutoff: int, tol: float = 1e-9) -> int:

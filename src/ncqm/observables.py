@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 
-def _left_mult(op: np.ndarray) -> SuperOperator:
+def _left_mult(op: np.ndarray, hermitian: bool = False) -> SuperOperator:
     eye = np.eye(op.shape[0], dtype=complex)
-    return SuperOperator([(op, eye)])
+    return SuperOperator([(op, eye)], hermitian_on_Hq=hermitian)
 
 
 def _commutator_action(op: np.ndarray, hermitian: bool = False) -> SuperOperator:
@@ -65,20 +65,13 @@ class ObservableSet:
 
 
 def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
-    x1 = _left_mult(ctx.x1)
-    x2 = _left_mult(ctx.x2)
-    x1.hermitian_on_Hq = True
-    x2.hermitian_on_Hq = True
-    return x1, x2
+    return _left_mult(ctx.x1, hermitian=True), _left_mult(ctx.x2, hermitian=True)
 
 
 def momentum_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
     c = ctx.params.hbar / ctx.params.theta
-    p1 = c * _commutator_action(ctx.x2)
-    p2 = -c * _commutator_action(ctx.x1)
-    p1.hermitian_on_Hq = True
-    p2.hermitian_on_Hq = True
-    return p1, p2
+    return (c * _commutator_action(ctx.x2, hermitian=True),
+            -c * _commutator_action(ctx.x1, hermitian=True))
 
 
 def angular_momentum(ctx: FockContext) -> SuperOperator:
@@ -91,9 +84,7 @@ def angular_momentum(ctx: FockContext) -> SuperOperator:
     """
     r_sq = ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2
     c = -ctx.params.hbar / (2.0 * ctx.params.theta)
-    lz = c * _commutator_action(r_sq)
-    lz.hermitian_on_Hq = True
-    return lz
+    return c * _commutator_action(r_sq, hermitian=True)
 
 
 def observables(ctx: FockContext) -> ObservableSet:

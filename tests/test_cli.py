@@ -339,6 +339,24 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["evolve", "--time", "nan"], 2),
+    (["evolve", "--config", "{cfg}"], 2),
+    (["evolve", "--time", "1e308", "--cutoff", "12", "--theta", "1"], 3),  # the phase w t overflows
+    (["probability", "--extent", "nan", "--out", "{csv}"], 2),
+], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
+def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema": 1, "time": NaN}')
+    argv = [a.format(cfg=cfg, csv=tmp_path / "p.csv") for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 # ---------------------------------------------------------------- check
 
 @pytest.mark.parametrize("suite", ["algebra", "symmetry", "continuity"])

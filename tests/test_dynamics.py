@@ -1,6 +1,8 @@
 """Hamiltonians, spectra, evolution, plane waves, and the continuity identity."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -247,19 +249,28 @@ def test_sector_route_builds_no_dense_matrix_at_cutoff_160(monkeypatch):
     res = solve_spectrum(h, 300)
     assert len(res.eigenstates) == 300
     assert np.all(np.diff(res.eigenvalues) >= 0.0)
+    psi = res.eigenstates[0]
+    assert abs(abs(hs_inner(psi, evolve(psi, h, 1.5))) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- evolution
 
-def test_evolve_matches_expm_oracle():
-    ctx = build_fock(ModelParams(theta=0.1, cutoff=10))
-    h = hamiltonian(ctx, OSC)
-    rng = np.random.default_rng(3)
-    psi = full_state(rng, 10)
+@pytest.mark.parametrize("kind,table,params,dense", [
+    ("free", None, ModelParams(theta=0.1, cutoff=10), False),
+    ("oscillator", None, ModelParams(theta=0.1, cutoff=10), False),
+    ("potential", diagonal_table(), ModelParams(theta=0.1, cutoff=10), False),
+    ("potential", x1_squared_table(0.1), ModelParams(theta=0.1, cutoff=10), True),
+    ("oscillator", None, ModelParams(theta=0.7, hbar=1.3, mass=0.8, omega=1.7, cutoff=10), False),
+], ids=["free", "oscillator", "diagonal-table", "x1-squared-table", "oscillator-hbar-1.3"])
+def test_evolve_matches_expm_oracle(kind, table, params, dense, monkeypatch):
+    h = hamiltonian(build_fock(params), HamiltonianSpec(kind, potential_coeffs=table))
+    psi = full_state(np.random.default_rng(3), 10)
     t = 0.7
-    u = scipy.linalg.expm(-1j * np.asarray(h.matrix) * t / ctx.params.hbar)
-    want = u @ vec(psi.op)
-    got = vec(evolve(psi, h, t).op)
+    with monkeypatch.context() as patch:
+        if not dense:  # the sector route never materializes H
+            patch.setattr(SuperOperator, "matrix", property(refuse_matrix))
+        got = vec(evolve(psi, h, t).op)
+    want = scipy.linalg.expm(-1j * np.asarray(h.matrix) * t / params.hbar) @ vec(psi.op)
     assert np.max(np.abs(got - want)) < 1e-11
 
 
@@ -286,20 +297,60 @@ def test_evolve_ground_state_is_stationary(ctx12):
 
 
 def test_spectrum_and_evolve_share_one_eigendecomposition(ctx12, monkeypatch):
-    calls = []
+    # the oscillator's 2N - 1 = 23 sector blocks are solved once, for both consumers
+    blocks, dense = [], []
+    tridiagonal = scipy.linalg.eigh_tridiagonal
     eigh = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+    def counting_tridiagonal(d, e, *args, **kwargs):
+        blocks.append(len(d))
+        return tridiagonal(d, e, *args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        dense.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting_tridiagonal)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     h = hamiltonian(ctx12, OSC)
-    res = solve_spectrum(h, 1)  # the ground level is simple: no cluster eigh
+    res = solve_spectrum(h, 1)
     solve_spectrum(h, 1)
     out = evolve(res.eigenstates[0], h, 1.5)
-    assert calls == [(144, 144)]
+    assert len(blocks) == 23
+    assert sorted(blocks) == sorted(12 - abs(k) for k in range(-11, 12))
+    assert (144, 144) not in dense
     assert abs(abs(hs_inner(res.eigenstates[0], out)) - 1.0) < 1e-12
+
+
+def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
+    blocks = []
+    tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def counting(d, e, *args, **kwargs):
+        blocks.append(len(d))
+        return tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=12)), OSC)
+    psi = full_state(np.random.default_rng(5), 12)
+    out = [None] * 4
+
+    def work(i):
+        out[i] = evolve(psi, h, 0.5).op
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(out))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(blocks) == 23  # one set of sector blocks, not one per thread
+    assert all(np.array_equal(o, out[0]) for o in out)
 
 
 def test_evolve_requires_hamiltonian(ctx12):
@@ -307,6 +358,8 @@ def test_evolve_requires_hamiltonian(ctx12):
     s = SuperOperator([(np.eye(12, dtype=complex), np.eye(12, dtype=complex))])
     with pytest.raises(UsageError):
         evolve(psi, s, 1.0)
+    with pytest.raises(UsageError, match="cutoff"):
+        evolve(QuantumState(np.eye(13, dtype=complex)), hamiltonian(ctx12, OSC), 1.0)
     with pytest.raises(UsageError):
         continuity_residual(psi, s)
 

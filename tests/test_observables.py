@@ -69,6 +69,15 @@ def test_momenta_match_ladder_commutator_form(ctx, obs):
     assert np.max(np.abs(pm - commutator.matrix)) < 1e-13 * scale
 
 
+def test_hermitian_flag_is_set_at_construction_and_kept_by_real_scaling(obs):
+    for op in (obs.X1, obs.X2, obs.P1, obs.P2, obs.Lz):
+        scaled = -2.5 * op
+        assert op.hermitian_on_Hq and scaled.hermitian_on_Hq
+        assert not (1j * op).hermitian_on_Hq
+        scaled.matrix  # a false flag would raise ConsistencyError here
+    assert not (obs.P.hermitian_on_Hq or obs.B.hermitian_on_Hq)
+
+
 def test_angular_momentum_composite_identity(ctx, obs):
     # Lz = X1 P2 - X2 P1 + (theta/2 hbar)(P1^2 + P2^2) holds as truncated
     # matrices identically, top-level defects included
