@@ -77,6 +77,11 @@ _CONFIG_KEYS = {
     "system", "levels", "kappa", "state", "extent", "points", "time", "suite",
 }
 
+_CONFIG_NUMBERS = {  # keys whose flag takes a number, with the flag's type
+    "theta": float, "hbar": float, "mass": float, "omega": float, "extent": float,
+    "time": float, "cutoff": int, "seed": int, "levels": int, "points": int,
+}
+
 _COMMON_DEFAULTS = {
     "theta": 0.1, "hbar": 1.0, "mass": 1.0, "omega": 1.0,
     "cutoff": None, "seed": 0, "out": None, "format": None,
@@ -119,12 +124,31 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     cfg = _load_config(args.config) if args.config else {}
     for key in opts:
         if cfg.get(key) is not None:
-            opts[key] = cfg[key]
+            opts[key] = _config_value(key, cfg[key])
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
     return opts
+
+
+def _config_value(key: str, value):
+    """A config value for a numeric flag, converted to the flag's type.
+
+    A value that does not convert, or a non-integral number for an integer
+    key, is a UsageError that names the key.
+    """
+    kind = _CONFIG_NUMBERS.get(key)
+    if kind is None:
+        return value
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (kind is int and isinstance(value, float) and converted != value):
+        raise UsageError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return converted
 
 
 def _as_complex(value, what: str) -> complex:

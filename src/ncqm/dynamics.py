@@ -200,8 +200,9 @@ def _sector_blocks(h: Hamiltonian) -> list:
 
     Each is a product of one diagonal of L_t and one of R_t, so the entries of
     all sectors at once are the diagonals of two N-sized matrix products.
+    np.linalg.eigh solves each block as a dense (N-|k|) x (N-|k|) matrix, so
+    all solves together cost O(N^4), far below the O(N^6) of the N^2 x N^2 eigh.
     """
-    from scipy.linalg import eigh_tridiagonal  # only this route needs it
 
     def stacked(side: int, offset: int) -> np.ndarray:
         return np.array([np.diagonal(term[side], offset) for term in h.terms])
@@ -213,7 +214,8 @@ def _sector_blocks(h: Hamiltonian) -> list:
     blocks = []
     for k in range(1 - n, n):
         rows = np.arange(n - abs(k)) + max(k, 0)
-        w, v = eigh_tridiagonal(np.diagonal(diag, -k), np.diagonal(off, -k))
+        e = np.diagonal(off, -k)
+        w, v = np.linalg.eigh(np.diag(np.diagonal(diag, -k)) + np.diag(e, 1) + np.diag(e, -1))
         blocks.append((rows * (n + 1) - k, hbar * -k, w, v))
     return blocks
 

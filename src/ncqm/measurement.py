@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 from .core import (
     ConvergenceError,
@@ -79,14 +78,66 @@ def coherent_vector(cutoff: int, z: complex) -> np.ndarray:
 
 
 def coherent_tail(cutoff: int, z: complex, level: int) -> float:
-    """Weight of |z> on Fock levels >= level: the Poisson(|z|^2) upper tail."""
+    """Weight of |z> on Fock levels >= level: the Poisson(|z|^2) upper tail.
+
+    For mu = |z|^2 <= level the positive terms are summed upward from k = level
+    until they fall below 1e-17 of the sum; above it the tail is at least about
+    1/2, so it is 1 minus the lower sum over k < level, summed downward from
+    its largest term.  Underflows to 0 far below 1e-280.
+    """
     if level <= 0:
         return 1.0
     mu = abs(complex(z)) ** 2
     if mu == 0.0:
         return 0.0
-    # P(Poisson(mu) >= k) equals the regularized lower incomplete gamma P(k, mu)
-    return float(gammainc(level, mu))
+    if mu <= level:
+        term = math.exp(level * math.log(mu) - mu - math.lgamma(level + 1))
+        total, k = term, level
+        while term > 1e-17 * total:
+            k += 1
+            term *= mu / k
+            total += term
+        return total
+    term = math.exp((level - 1) * math.log(mu) - mu - math.lgamma(level))
+    lower = term
+    for k in range(level - 1, 0, -1):
+        if term <= 1e-17 * lower:
+            break
+        term *= k / mu
+        lower += term
+    return 1.0 - lower
+
+
+def _coherent_tails(level: int, mu: np.ndarray) -> np.ndarray:
+    """coherent_tail for an array of mu = |z|^2, by the same two sums.
+
+    The lower sum is built only for the points with mu > level.
+    """
+    if level <= 0:
+        return np.ones(mu.shape)
+    out = np.zeros(mu.shape)
+    upper = (mu > 0.0) & (mu <= level)
+    m = mu[upper]
+    term = np.exp(level * np.log(m) - m - math.lgamma(level + 1))
+    total = term.copy()
+    k = level
+    while np.any(term > 1e-17 * total):
+        k += 1
+        term *= m / k
+        total += term
+    out[upper] = total
+
+    above = mu > level
+    m = mu[above]
+    term = np.exp((level - 1) * np.log(m) - m - math.lgamma(level))
+    lower = term.copy()
+    for k in range(level - 1, 0, -1):
+        if not np.any(term > 1e-17 * lower):
+            break
+        term *= k / m
+        lower += term
+    out[above] = 1.0 - lower
+    return out
 
 
 def coherent_state_op(ctx: FockContext, z: complex) -> QuantumState:
@@ -306,7 +357,7 @@ def probability_grid(ctx: FockContext, psi: QuantumState, grid: GridSpec) -> Pro
     msg = _warn_if_unsafe(ctx.cutoff, worst)
     if msg is not None:
         # same criterion as the trigger: coherent tail above level N-3
-        tails = gammainc(ctx.cutoff - 3, radii**2)
+        tails = _coherent_tails(ctx.cutoff - 3, radii**2)
         unsafe = int(np.sum(tails >= 1e-8))
         notes.append(f"{unsafe} of {len(zs)} grid points truncation-unsafe; worst: {msg}")
 

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import pytest
 from ncqm.cli import main
 
 THETA = 0.1
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, argv):
@@ -76,6 +82,19 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     cfg.write_text(content)
     code, _, err = run(capsys, ["spectrum", "--config", str(cfg)])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command,content,key", [
+    ("evolve", '{"schema": 1, "time": "abc"}', "time"),
+    ("spectrum", '{"schema": 1, "theta": "x"}', "theta"),
+    ("spectrum", '{"schema": 1, "cutoff": 30.5}', "cutoff"),
+], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff"])
+def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -355,6 +374,31 @@ def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expect
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "p.csv").exists()
+
+
+# ---------------------------------------------------------------- imports
+
+def test_commands_run_without_scipy():
+    # the runtime needs numpy only: a fresh process that runs one command of each
+    # kind must not have imported any scipy module
+    code = textwrap.dedent("""
+        import sys
+        import tempfile
+        from ncqm.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = ["--out", tmp + "/out"]  # keeps stdout for the module list
+            for argv in (["spectrum", *out], ["evolve", *out],
+                         ["probability", "--points", "11", "--out", tmp + "/p.csv"],
+                         ["check", "--suite", "oscillator-oracle", *out]):
+                assert main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------- check

@@ -296,41 +296,38 @@ def test_evolve_ground_state_is_stationary(ctx12):
     assert abs(out.norm - 1.0) < 1e-13
 
 
-def test_spectrum_and_evolve_share_one_eigendecomposition(ctx12, monkeypatch):
-    # the oscillator's 2N - 1 = 23 sector blocks are solved once, for both consumers
-    blocks, dense = [], []
-    tridiagonal = scipy.linalg.eigh_tridiagonal
+def _count_eigh(monkeypatch) -> list:
+    """Record the shape of every np.linalg.eigh input from now on."""
+    shapes = []
     eigh = np.linalg.eigh
 
-    def counting_tridiagonal(d, e, *args, **kwargs):
-        blocks.append(len(d))
-        return tridiagonal(d, e, *args, **kwargs)
-
     def counting_eigh(a, *args, **kwargs):
-        dense.append(np.shape(a))
+        shapes.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting_tridiagonal)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+# the oscillator at N=12 has 2N - 1 = 23 square sector blocks, of sizes 12 - |k|
+BLOCKS_12 = sorted((12 - abs(k),) * 2 for k in range(-11, 12))
+
+
+def test_spectrum_and_evolve_share_one_eigendecomposition(ctx12, monkeypatch):
+    # the 23 sector blocks are solved once, for both consumers
+    shapes = _count_eigh(monkeypatch)
     h = hamiltonian(ctx12, OSC)
     res = solve_spectrum(h, 1)
     solve_spectrum(h, 1)
     out = evolve(res.eigenstates[0], h, 1.5)
-    assert len(blocks) == 23
-    assert sorted(blocks) == sorted(12 - abs(k) for k in range(-11, 12))
-    assert (144, 144) not in dense
+    assert len(shapes) == 23
+    assert sorted(shapes) == BLOCKS_12
+    assert (144, 144) not in shapes
     assert abs(abs(hs_inner(res.eigenstates[0], out)) - 1.0) < 1e-12
 
 
 def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
-    blocks = []
-    tridiagonal = scipy.linalg.eigh_tridiagonal
-
-    def counting(d, e, *args, **kwargs):
-        blocks.append(len(d))
-        return tridiagonal(d, e, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    shapes = _count_eigh(monkeypatch)
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=12)), OSC)
     psi = full_state(np.random.default_rng(5), 12)
     out = [None] * 4
@@ -349,7 +346,9 @@ def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(blocks) == 23  # one set of sector blocks, not one per thread
+    assert len(shapes) == 23  # one set of sector blocks, not one per thread
+    assert sorted(shapes) == BLOCKS_12
+    assert (144, 144) not in shapes
     assert all(np.array_equal(o, out[0]) for o in out)
 
 

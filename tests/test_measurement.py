@@ -38,6 +38,7 @@ from ncqm import (
     unvec,
     vec,
 )
+from ncqm.measurement import _coherent_tails
 from conftest import full_state, interior_state
 
 THETA = 0.1
@@ -74,6 +75,28 @@ def test_coherent_tail_is_poisson_upper_tail():
     assert coherent_tail(40, z, 0) == 1.0
     assert coherent_tail(40, z, -2) == 1.0
     assert coherent_tail(40, 0.0, 5) == 0.0
+
+
+@pytest.mark.parametrize("level", [1, 2, 5, 27, 100, 341])
+def test_coherent_tail_matches_mpmath_on_both_branches(level):
+    # mu = |z|^2 from 1e-6 to 600 with mu = level - 1, level, level + 1: the upward
+    # sum (mu <= level) and one minus the lower sum (mu > level) both get exercised
+    mus = [*np.geomspace(1e-6, 600.0, 41), level - 1.0, float(level), level + 1.0]
+    mus = [abs(complex(math.sqrt(mu))) ** 2 for mu in mus]  # the mu that coherent_tail sees
+    assert any(mu <= level for mu in mus) and any(mu > level for mu in mus)
+    with mpmath.workdps(50):
+        for mu in mus:
+            got = coherent_tail(level + 3, math.sqrt(mu), level)
+            want = mpmath.gammainc(level, 0, mpmath.mpf(mu), regularized=True)
+            if want > 1e-290:
+                assert abs(got - want) <= 1e-12 * want, (mu, got, want)
+            else:
+                assert got < 1e-280, (mu, got, want)
+    # the grid path sums the same series over an array of points
+    grid = _coherent_tails(level, np.array(mus))
+    for mu, tail in zip(mus, grid):
+        assert tail == pytest.approx(coherent_tail(level + 3, math.sqrt(mu), level),
+                                     rel=1e-13, abs=1e-300)
 
 
 def test_coherent_state_op_is_normalized_rank_one(ctx16):
@@ -307,6 +330,17 @@ def test_grid_flags_unsafe_points():
     res = probability_grid(ctx, vac, grid)
     assert len(res.warnings) == 1 and "truncation-unsafe" in res.warnings[0]
     assert np.all(res.values >= 0.0)
+
+
+def test_grid_counts_the_points_coherent_tail_flags():
+    # the grid's vectorized tail gives the same verdict as coherent_tail at every point
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=30))
+    grid = GridSpec((-2.0, 2.5), (-1.5, 2.0), (31, 29))
+    res = probability_grid(ctx, ground_state(ctx), grid)
+    zs = [(a + 1j * b) / math.sqrt(2.0 * THETA) for a in res.x1 for b in res.x2]
+    unsafe = sum(coherent_tail(30, z, 27) >= 1e-8 for z in zs)
+    assert 0 < unsafe < len(zs)
+    assert res.warnings[0].startswith(f"{unsafe} of {len(zs)} grid points truncation-unsafe")
 
 
 # ---------------------------------------------------------------- POVM
