@@ -197,13 +197,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(report: dict, out: str | None) -> None:
+def _json_text(report: dict) -> str:
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalError("the report holds NaN or inf, which JSON cannot carry; usually an input "
-                             "overflowed double precision (such as the phase of a huge --time)")
-    _emit(text + "\n", out)
+                             "overflowed double precision (such as a huge --time or --extent)")
 
 
 def _finite(opts: dict, key: str) -> float:
@@ -399,10 +398,10 @@ def _pair_levels_by_tower(result, kept: list[int], params: ModelParams) -> list[
 
     Truncation shifts levels by more than their spacing, so pairing by energy
     order alone misassigns them; the exact angular-momentum label that
-    solve_spectrum reports (-hbar (m - l), an integer multiple of hbar on the
-    sector route) names the tower.  Towers whose low levels are contaminated
-    at this cutoff simply have no numeric partner and are skipped on the
-    analytic side.
+    solve_spectrum reports (-hbar (m - l), an integer multiple of hbar for the
+    oscillator, whose sectors k never mix) names the tower.  Towers whose low
+    levels are contaminated at this cutoff simply have no numeric partner and
+    are skipped on the analytic side.
     """
     towers = _analytic_towers(params, 2 * len(kept) + 8)
     used = {m: 0 for m in towers}
@@ -532,7 +531,7 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     if fmt == "csv":
         _emit(_spectrum_csv(report), opts["out"])
     else:
-        _emit_json(report, opts["out"])
+        _emit(_json_text(report), opts["out"])
     return 0
 
 
@@ -550,14 +549,14 @@ def _run_probability(args: argparse.Namespace) -> int:
     ctx, psi, extent, notes = _build_state(kind, detail, opts)
 
     grid = GridSpec((-extent, extent), (-extent, extent), (points, points))
-    pg = probability_grid(ctx, psi, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pg = probability_grid(ctx, psi, grid)  # a grid that overflows gives NaN, which _json_text refuses
 
     lines = ["# position density grid; rows scan x1, x2 varies fastest", "x1,x2,P"]
     for i in range(points):
         x1i = float(pg.x1[i])
         for j in range(points):
             lines.append(f"{x1i!r},{float(pg.x2[j])!r},{float(pg.values[i, j])!r}")
-    _emit("\n".join(lines) + "\n", opts["out"])
 
     meta = {
         "schema": 1,
@@ -575,7 +574,9 @@ def _run_probability(args: argparse.Namespace) -> int:
         "warnings": list(pg.warnings),
         "notes": notes,
     }
-    _emit_json(meta, opts["out"] + ".meta.json")
+    meta_text = _json_text(meta)  # refuses NaN before either file is written
+    _emit("\n".join(lines) + "\n", opts["out"])
+    _emit(meta_text, opts["out"] + ".meta.json")
     for w in pg.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -605,7 +606,7 @@ def _run_evolve(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown system {system!r}; use oscillator or free")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        psi_t = evolve(psi0, h, t)  # a phase w t that overflows gives NaN, which _emit_json refuses
+        psi_t = evolve(psi0, h, t)  # a phase w t that overflows gives NaN, which _json_text refuses
     e0 = hs_inner(psi0, h.apply(psi0)).real
     e1 = hs_inner(psi_t, h.apply(psi_t)).real
     report = {
@@ -626,7 +627,7 @@ def _run_evolve(args: argparse.Namespace) -> int:
         "continuity_residual": continuity_residual(psi0, h),
         "notes": notes,
     }
-    _emit_json(report, opts["out"])
+    _emit(_json_text(report), opts["out"])
     return 0
 
 
@@ -905,7 +906,7 @@ def _run_check(args: argparse.Namespace) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit_json(report, opts["out"])
+    _emit(_json_text(report), opts["out"])
     return 0 if passed else 1
 
 

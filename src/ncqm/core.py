@@ -112,6 +112,10 @@ class ModelParams:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    # a frozen array is shared, not copied, if it owns its data: a view could change through its base
+    if (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=complex, order="C")
     out.setflags(write=False)
     return out
@@ -243,7 +247,7 @@ class SuperOperator:
         self.terms = tuple((_readonly(left), _readonly(right)) for left, right in terms)
         self.hermitian_on_Hq = bool(hermitian_on_Hq)
         self._matrix = None
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
     def cutoff(self) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ConsistencyError,
     FockContext,
     QuantumState,
     SuperOperator,
@@ -77,7 +78,10 @@ class HamiltonianSpec:
 
 
 class Hamiltonian(SuperOperator):
-    """A Hamiltonian superoperator that remembers its context, potential part and _eig_cached."""
+    """A Hamiltonian superoperator that remembers its context, potential part and _eig_cached.
+
+    v_matrix must be the potential the terms carry: it fixes the classes of _class_blocks.
+    """
 
     __slots__ = ("ctx", "spec", "v_matrix", "_eig")
 
@@ -132,11 +136,13 @@ def hamiltonian(ctx: FockContext, spec: HamiltonianSpec) -> Hamiltonian:
 class SpectrumResult:
     """Lowest eigenpairs of a Hamiltonian superoperator.
 
-    eigenvalues ascending; eigenstates orthonormal under the Hilbert-Schmidt
-    inner product.  lz_expectations holds, per state, the expectation of the
-    exact angular-momentum label, which multiplies the matrix unit |m><l| by
-    -hbar (m - l).  On the sector route every state lies in one sector
-    k = m - l, so the entry is exactly -hbar k.  The label is used rather than
+    eigenvalues ascending (by label inside a degenerate run, see solve_spectrum);
+    eigenstates orthonormal under the Hilbert-Schmidt inner product.
+    lz_expectations holds, per state, the expectation of the exact
+    angular-momentum label, which multiplies the matrix unit |m><l| by
+    -hbar (m - l).  When v_matrix is diagonal every state lies in one sector
+    k = m - l, so the entry is exactly -hbar k; otherwise the label is
+    diagonalized inside each degenerate run.  The label is used rather than
     the truncated angular_momentum operator, whose cut top entry of r^2 shifts
     boundary-supported states by several hbar; the label commutes exactly with
     every rotation-invariant truncated Hamiltonian.
@@ -175,77 +181,60 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * (v[pivot] / abs(v[pivot])).conjugate()
 
 
-def _sector_invariant(h: Hamiltonian) -> bool:
-    """True when H conserves k = m - l, so it splits into tridiagonal sector blocks.
+def _class_blocks(h: Hamiltonian) -> list:
+    """H split into the classes of matrix units it never mixes, each block diagonalized.
 
-    The kinetic part always does (the sector-changing pieces of its x1 and x2
-    terms cancel exactly).  A left-multiplication potential does exactly
-    when its matrix is diagonal in the Fock basis: free, oscillator, and any
-    table whose truncated v_matrix has no entry off the diagonal.
+    The kinetic terms keep k = m - l of the unit |m><l| and the potential term
+    (b^dag)^p b^q shifts k by p - q, so H keeps k modulo g, the gcd of |m - n|
+    over the nonzero off-diagonal v_matrix[m, n].  With g = 0 (free, oscillator,
+    diagonal tables) each sector k is a class labelled exactly -hbar k; else
+    the g classes k mod g have label None.  A class holds its units in vec
+    order; its block, block[i, j] = sum_t L_t[m_i, m_j] R_t[l_j, l_i], comes
+    from H's own terms with no N^2 x N^2 matrix, and np.linalg.eigh solves it,
+    in real arithmetic when its imaginary part is exactly zero.  A block that
+    is not Hermitian raises ConsistencyError.
     """
-    v = h.v_matrix
-    return not np.any(v - np.diag(np.diagonal(v)))
-
-
-def _sector_blocks(h: Hamiltonian) -> list:
-    """The 2N-1 real symmetric tridiagonal sector blocks of H, each diagonalized.
-
-    The block entries come from H's own terms, so the truncated operator is the
-    one the dense route materializes.  Sector k holds the units |i+k><i| (k >= 0)
-    or |i><i-k| (k < 0), i ascending; H maps |m><l| into itself and its
-    neighbours |m+-1><l+-1|:
-
-        diagonal    sum_t L_t[m, m] R_t[l, l]
-        off-diagonal  sum_t L_t[m+1, m] R_t[l, l+1]
-
-    Each is a product of one diagonal of L_t and one of R_t, so the entries of
-    all sectors at once are the diagonals of two N-sized matrix products.
-    np.linalg.eigh solves each block as a dense (N-|k|) x (N-|k|) matrix, so
-    all solves together cost O(N^4), far below the O(N^6) of the N^2 x N^2 eigh.
-    """
-
-    def stacked(side: int, offset: int) -> np.ndarray:
-        return np.array([np.diagonal(term[side], offset) for term in h.terms])
-
     n = h.cutoff
-    hbar = h.ctx.params.hbar
-    diag = (stacked(0, 0).T @ stacked(1, 0)).real  # [m, l]: unit |m><l| onto itself
-    off = (stacked(0, -1).T @ stacked(1, 1)).real  # [m, l]: |m><l| onto |m+1><l+1|
+    rows, cols = np.nonzero(h.v_matrix)
+    g = math.gcd(*np.abs(rows - cols).tolist())
+    m, l = np.divmod(np.arange(n * n), n)
+    k = m - l if g == 0 else (m - l) % g
     blocks = []
-    for k in range(1 - n, n):
-        rows = np.arange(n - abs(k)) + max(k, 0)
-        e = np.diagonal(off, -k)
-        w, v = np.linalg.eigh(np.diag(np.diagonal(diag, -k)) + np.diag(e, 1) + np.diag(e, -1))
-        blocks.append((rows * (n + 1) - k, hbar * -k, w, v))
+    for c in np.unique(k):
+        idx = np.flatnonzero(k == c)
+        mi, li = np.ix_(m[idx], m[idx]), np.ix_(l[idx], l[idx])
+        block = sum(left[mi] * right[li].T for left, right in h.terms)
+        defect = np.max(np.abs(block - block.conj().T))
+        scale = max(1.0, np.max(np.abs(block)))
+        if defect > 1e-12 * scale:
+            raise ConsistencyError(
+                f"Hamiltonian block has Hermiticity defect {defect:.3e} (scale {scale:.3e})"
+            )
+        if not block.imag.any():
+            block = block.real
+        label = h.ctx.params.hbar * -int(c) if g == 0 else None
+        blocks.append((idx, label, *np.linalg.eigh(block)))
     return blocks
 
 
 def _eig_cached(h: Hamiltonian) -> list:
     """The one eigendecomposition of H, computed on first use; solve_spectrum and evolve share it.
 
-    A list of blocks (vec indices, label, eigenvalues ascending, eigenvectors
-    as columns).  A Hamiltonian that conserves k = m - l gets its 2N-1 sector
-    blocks, each carrying its exact label -hbar k, and no N^2 x N^2 matrix is
-    built.  Any other gets one block over all N^2 units with label None, from
-    the eigh of the materialized matrix; h.matrix has already refused a
-    non-Hermitian one (ConsistencyError), since every Hamiltonian carries the
-    Hermitian flag.
+    The blocks of _class_blocks: (vec indices, label, eigenvalues ascending,
+    eigenvectors as columns).
     """
-    with h._lock:  # reentrant: h.matrix takes it too
+    with h._lock:
         if h._eig is None:
-            if _sector_invariant(h):
-                h._eig = _sector_blocks(h)
-            else:
-                h._eig = [(slice(None), None, *np.linalg.eigh(h.matrix))]
+            h._eig = _class_blocks(h)
         return h._eig
 
 
 def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
-    """Lowest `count` eigenpairs of H, read off the blocks of _eig_cached, which evolve shares.
+    """Lowest `count` eigenpairs of H, read off the class blocks of _eig_cached, which evolve shares.
 
     Free, oscillator, and potential tables whose v_matrix is diagonal give
-    2N-1 tridiagonal sector blocks of size N - |k|; any other table gives one
-    dense block over all N^2 units.
+    2N-1 sector blocks of size N - |k|; any other table gives g classes of
+    about N^2/g units (g = 1 is one block over all N^2 units).
 
     Ordering: energy ascending; eigenvalues closer than 1e-8 of the spectral
     scale form one degenerate cluster, ordered by ascending lz_expectations
@@ -269,20 +258,19 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
     picked = []  # (eigenvalue, label, vec indices, eigenvector)
     for i, j in _clusters(vals[order], count, 1e-8 * scale):
         run = [where[q] for q in order[i:j]]
-        if all(blocks[b][1] is not None for b, _ in run):
-            # a run spans distinct sectors (a Jacobi block has simple eigenvalues): order by label
-            for b, q in sorted(run, key=lambda r: blocks[r[0]][1]):
-                idx, lz, w, v = blocks[b]
-                picked.append((w[q], lz, idx, v[:, q]))
-        else:
-            # the dense block: diagonalize the label inside the run (ascending)
-            idx, _, w, v = blocks[0]
-            cols = [q for _, q in run]
+        found = []
+        for b in dict.fromkeys(b for b, _ in run):
+            idx, lz, w, v = blocks[b]
+            cols = [q for c, q in run if c == b]
             vecs = v[:, cols]
-            label_block = vecs.conj().T @ (label[:, None] * vecs)
-            label_vals, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
-            for q, lz, u in zip(cols, label_vals, (vecs @ rot).T):
-                picked.append((w[q], float(lz), idx, u))
+            if lz is None:  # diagonalize the label over the block's columns in the run
+                label_block = vecs.conj().T @ (label[idx, None] * vecs)
+                lzs, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
+                vecs = vecs @ rot
+            else:  # every state of a sector carries its exact label
+                lzs = [lz] * len(cols)
+            found += [(w[q], float(lz_q), idx, u) for q, lz_q, u in zip(cols, lzs, vecs.T)]
+        picked += sorted(found, key=lambda r: r[1])
 
     states = []
     for _, _, idx, u in picked[:count]:
@@ -299,10 +287,10 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
 
 
 def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
-    """exp(-i H t / hbar) psi0, block by block through the blocks of _eig_cached.
+    """exp(-i H t / hbar) psi0, block by block through the class blocks of _eig_cached.
 
-    For H conserving k = m - l each sector of psi0 evolves on its own, O(N^3)
-    in all, with no N^2 x N^2 matrix.  The blocks are shared with
+    Each class of psi0 evolves on its own, with no N^2 x N^2 matrix: O(N^3) in
+    all when v_matrix is diagonal (2N-1 sectors).  The blocks are shared with
     solve_spectrum and read-only, so repeated and concurrent calls are cheap
     and safe.  Unitarity is exact up to roundoff for any real t.
     """

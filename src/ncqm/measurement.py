@@ -143,15 +143,21 @@ def _coherent_tails(level: int, mu: np.ndarray) -> np.ndarray:
 def coherent_state_op(ctx: FockContext, z: complex) -> QuantumState:
     """The rank-one state |z)(= |z><z|), normalized to hs_inner = 1 exactly.
 
-    Raises TruncationError when |z> leaks weight above level N-3 beyond 1e-8
-    (the |z|^2 <~ N/3 safety region).
+    Raises TruncationError when |z> leaks weight above level N-3 beyond 1e-8,
+    naming the least cutoff that passes: the tail falls as the level rises and
+    is far above 1e-8 up to level |z|^2, so the search steps up from
+    N = |z|^2 + 4; past |z|^2 = 1e4 (long tail sums) it names that bound.
     """
     n = ctx.cutoff
     tail = coherent_tail(n, z, n - 3)
     if tail >= 1e-8:
+        mu = abs(complex(z)) ** 2
+        need = int(mu) + 4
+        while mu <= 1e4 and coherent_tail(need, z, need - 3) >= 1e-8:
+            need += 1
         raise TruncationError(
             f"coherent state at z = {z} has weight {tail:.2e} above level {n - 3}; "
-            f"raise the cutoff (|z|^2 = {abs(complex(z))**2:.2f} wants N >~ {3 * abs(complex(z))**2:.0f})"
+            f"raise the cutoff (|z|^2 = {mu:.3g} needs N >= {need:.6g})"
         )
     v = coherent_vector(n, z)
     op = np.outer(v, v.conj())

@@ -88,8 +88,8 @@ def test_criterion_2_oscillator_spectrum(capsys):
     The check used to be pinned at cutoff 30 because the only eigensolver was
     the dense N^2 x N^2 eigh (O(N^6); about 6 GB at N=140).  solve_spectrum
     now splits the rotation-invariant oscillator into its angular-momentum
-    sectors, tridiagonal blocks of size N - |k|, which makes N=160 a
-    sub-second solve.  Only the cutoff moved: the 1e-6 bound, the level set,
+    sectors, blocks of size N - |k|, which makes N=160 a solve of about a
+    second.  Only the cutoff moved: the 1e-6 bound, the level set,
     the 0.05 boundary filter, the 300 requested levels and the runtime bound
     are those of the cutoff-30 check.
     """

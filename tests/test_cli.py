@@ -363,7 +363,8 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["evolve", "--config", "{cfg}"], 2),
     (["evolve", "--time", "1e308", "--cutoff", "12", "--theta", "1"], 3),  # the phase w t overflows
     (["probability", "--extent", "nan", "--out", "{csv}"], 2),
-], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan"])
+    (["probability", "--extent", "1e308", "--cutoff", "30", "--points", "5", "--out", "{csv}"], 3),
+], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"
@@ -373,7 +374,7 @@ def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expect
     assert code == expected
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "p.csv").exists()
+    assert not list(tmp_path.glob("p.csv*"))  # neither the grid nor its sidecar
 
 
 # ---------------------------------------------------------------- imports

@@ -238,6 +238,23 @@ def test_compose_add_scale_match_pointwise_actions(rng):
     assert np.max(np.abs((c * s1).apply(psi).op - c * s1.apply(psi).op)) < 1e-12 * scale
 
 
+def test_frozen_terms_are_shared_and_other_inputs_copied(rng):
+    a, b = _random_superop(rng, 5), _random_superop(rng, 5)
+    total = a + b
+    assert all(x is y for pair, old in zip(total.terms, a.terms + b.terms) for x, y in zip(pair, old))
+    psi = full_state(rng, 5)
+    assert QuantumState(psi.op).op is psi.op
+
+    base = np.eye(5, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)  # frozen, but base can still change it
+    for left in (base, view):
+        s = SuperOperator([(left, base)])
+        assert s.terms[0][0] is not left and not s.terms[0][0].flags.writeable
+    base[0, 0] = 7.0
+    assert s.terms[0][0][0, 0] == 1.0 and s.terms[0][1][0, 0] == 1.0
+
+
 def test_superop_cutoff_mismatch_raises(rng):
     s5, s6 = _random_superop(rng, 5), _random_superop(rng, 6)
     with pytest.raises(UsageError):

@@ -7,8 +7,12 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncqm import (
+    ConsistencyError,
+    Hamiltonian,
     HamiltonianSpec,
     ModelParams,
     QuantumState,
@@ -47,6 +51,29 @@ def x1_squared_table(theta):
     t[0, 0] = 0.5 * theta
     t[1, 1] = theta
     t[0, 2] = t[2, 0] = 0.5 * theta
+    return t
+
+
+def linear_x1_table(coeff):
+    # coeff (b + bdag): shifts k by one, so g = 1 and all N^2 units form one class
+    t = np.zeros((2, 2), dtype=complex)
+    t[0, 1] = t[1, 0] = coeff
+    return t
+
+
+def near_free_table():
+    # 1e-9 (b^2 + bdag^2): g = 2, and the free particle's pairs k, -k (one class) stay
+    # degenerate within 1e-8 of the scale: runs inside one class block need the label rotation
+    t = np.zeros((3, 3), dtype=complex)
+    t[0, 2] = t[2, 0] = 1e-9
+    return t
+
+
+def complex_table():
+    # i (bdag^2 - b^2): Hermitian with imaginary entries, g = 2, complex class blocks
+    t = np.zeros((3, 3), dtype=complex)
+    t[2, 0] = 1j
+    t[0, 2] = -1j
     return t
 
 
@@ -154,7 +181,7 @@ def test_spectrum_count_validation(ctx12):
         solve_spectrum(SuperOperator([(np.eye(4, dtype=complex), np.eye(4, dtype=complex))]), 1)
 
 
-# ---------------------------------------------------------------- sector route vs dense oracle
+# ---------------------------------------------------------------- class blocks vs dense oracle
 
 def dense_oracle(h, count):
     """(energy, label, vec) of the lowest levels straight from eigh(h.matrix), and max |E|.
@@ -193,13 +220,52 @@ def assert_matches_dense_oracle(h, res, count):
     assert worst < 1e-10
 
 
+def assert_runs_match_dense_oracle(h, levels):
+    """solve_spectrum against dense_oracle run by run, over the runs covering `levels` levels.
+
+    Inside a run (levels closer than 1e-8 of the scale) two things are
+    conventions, not results: which value goes with which state
+    (solve_spectrum keeps each sector state's own, the oracle assigns them by
+    position) and the basis when one sector holds two states of the run.  So
+    each run compares what no rotation inside it changes: the sorted values
+    (1e-12 of the scale), the ascending labels and the run's projector (1e-10).
+    Where a run lies close to its neighbours the oracle's own eigenvectors are
+    only good to about eps * scale / gap (Davis-Kahan), so 100 times that is
+    added to the state bound, and to the label bound times the largest |label|.
+    """
+    n = h.cutoff
+    evals = np.linalg.eigh(np.asarray(h.matrix))[0]
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    runs = []
+    i = 0
+    while i < min(levels, n * n):
+        j = i + 1
+        while j < n * n and evals[j] - evals[j - 1] < 1e-8 * scale:
+            j += 1
+        runs.append((i, j))
+        i = j
+    res = solve_spectrum(h, i)
+    want, _ = dense_oracle(h, i)
+    label_max = h.ctx.params.hbar * (n - 1)
+    for i, j in runs:
+        gap = min(evals[i] - evals[i - 1] if i else np.inf, evals[j] - evals[j - 1] if j < n * n else np.inf)
+        slack = 100 * np.finfo(float).eps * scale / gap
+        values = np.sort(res.eigenvalues[i:j]) - [e for e, _, _ in want[i:j]]
+        assert np.max(np.abs(values)) < 1e-12 * scale
+        labels = res.lz_expectations[i:j] - [lz for _, lz, _ in want[i:j]]
+        assert np.max(np.abs(labels)) < 1e-10 + slack * label_max
+        ours = np.array([vec(s.op) for s in res.eigenstates[i:j]])
+        theirs = np.array([v for _, _, v in want[i:j]])
+        assert np.max(np.abs(ours.T @ ours.conj() - theirs.T @ theirs.conj())) < 1e-10 + slack
+
+
 def diagonal_table():
     # 0.3 + 0.2 bdag b + 0.05 bdag^2 b^2: diagonal in the Fock basis, so rotation invariant
     return np.diag([0.3, 0.2, 0.05]).astype(complex)
 
 
 def refuse_matrix(self):
-    raise AssertionError("the sector route must not materialize the N^2 x N^2 matrix")
+    raise AssertionError("solve_spectrum and evolve must not materialize the N^2 x N^2 matrix")
 
 
 @pytest.mark.parametrize("kind,params,count", [
@@ -225,25 +291,70 @@ def test_sector_route_matches_dense_oracle(kind, params, count, monkeypatch):
         assert not np.any(s.op[l - m != shift])
 
 
-def test_off_diagonal_table_keeps_the_dense_route(ctx12, monkeypatch):
+def _count_eigh(monkeypatch) -> list:
+    """Record (shape, dtype kind) of every np.linalg.eigh input from now on."""
     calls = []
     eigh = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype.kind))
         return eigh(a, *args, **kwargs)
 
-    h = hamiltonian(ctx12, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1)))
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize("table,blocks", [
+    (x1_squared_table(0.1), [((72, 72), "f")] * 2),
+    (linear_x1_table(0.5), [((144, 144), "f")]),
+    (complex_table(), [((72, 72), "c")] * 2),
+    (near_free_table(), [((72, 72), "f")] * 2),
+], ids=["x1-squared-table", "linear-x1-table", "complex-table", "near-free-table"])
+def test_off_diagonal_tables_take_the_class_route(ctx12, table, blocks, monkeypatch):
+    # one decomposition into the g classes k mod g, shared with evolve, no N^2 x N^2 matrix
+    h = hamiltonian(ctx12, HamiltonianSpec("potential", potential_coeffs=table))
+    calls = _count_eigh(monkeypatch)
+    monkeypatch.setattr(SuperOperator, "matrix", property(refuse_matrix))
     res = solve_spectrum(h, 40)
     evolve(res.eigenstates[0], h, 0.5)
-    assert calls.count((144, 144)) == 1  # one dense eigh, shared with evolve
+    # the other eighs rotate the label inside a degenerate run of a few levels
+    assert [c for c in calls if c[0][0] > 40] == blocks
     monkeypatch.undo()
     assert_matches_dense_oracle(h, res, 40)
 
 
+@pytest.mark.parametrize("v", [
+    np.diag(0.1j * np.arange(12)),  # g = 0: refused in a sector block
+    np.eye(12, k=2),  # b^2 without its adjoint: g = 2, refused in a class block
+], ids=["sector", "class"])
+def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
+    terms = list(hamiltonian(ctx12, OSC).terms) + [(v, np.eye(12))]
+    h = Hamiltonian(terms, ctx=ctx12, spec=OSC, v_matrix=v)
+    with pytest.raises(ConsistencyError, match="Hermiticity defect"):
+        solve_spectrum(h, 1)
+    with pytest.raises(ConsistencyError, match="Hermiticity defect"):
+        evolve(QuantumState(np.eye(12)), h, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["oscillator", "x1-squared-table"])
+@given(
+    st.floats(-6.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(min_value=2, max_value=16),
+)
+def test_spectrum_matches_dense_oracle_over_parameter_box(kind, log_theta, log_hbar, log_mass, log_omega, n):
+    # criterion 9's box; the lowest 8 levels and the rest of their last run
+    params = ModelParams(theta=10.0**log_theta, hbar=10.0**log_hbar, mass=10.0**log_mass,
+                         omega=10.0**log_omega, cutoff=n)
+    spec = (HamiltonianSpec("potential", potential_coeffs=x1_squared_table(params.theta))
+            if kind == "x1-squared-table" else OSC)
+    assert_runs_match_dense_oracle(hamiltonian(build_fock(params), spec), 8)
+
+
 def test_sector_route_builds_no_dense_matrix_at_cutoff_160(monkeypatch):
-    # criterion 2's solve; a silent fallback to the dense route would allocate ~10 GB
+    # criterion 2's solve; materializing H here would allocate ~10 GB
     monkeypatch.setattr(SuperOperator, "matrix", property(refuse_matrix))
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=160)), OSC)
     res = solve_spectrum(h, 300)
@@ -255,20 +366,22 @@ def test_sector_route_builds_no_dense_matrix_at_cutoff_160(monkeypatch):
 
 # ---------------------------------------------------------------- evolution
 
-@pytest.mark.parametrize("kind,table,params,dense", [
-    ("free", None, ModelParams(theta=0.1, cutoff=10), False),
-    ("oscillator", None, ModelParams(theta=0.1, cutoff=10), False),
-    ("potential", diagonal_table(), ModelParams(theta=0.1, cutoff=10), False),
-    ("potential", x1_squared_table(0.1), ModelParams(theta=0.1, cutoff=10), True),
-    ("oscillator", None, ModelParams(theta=0.7, hbar=1.3, mass=0.8, omega=1.7, cutoff=10), False),
-], ids=["free", "oscillator", "diagonal-table", "x1-squared-table", "oscillator-hbar-1.3"])
-def test_evolve_matches_expm_oracle(kind, table, params, dense, monkeypatch):
+@pytest.mark.parametrize("kind,table,params", [
+    ("free", None, ModelParams(theta=0.1, cutoff=10)),
+    ("oscillator", None, ModelParams(theta=0.1, cutoff=10)),
+    ("potential", diagonal_table(), ModelParams(theta=0.1, cutoff=10)),
+    ("potential", x1_squared_table(0.1), ModelParams(theta=0.1, cutoff=10)),
+    ("potential", linear_x1_table(0.5), ModelParams(theta=0.1, cutoff=10)),
+    ("potential", complex_table(), ModelParams(theta=0.1, cutoff=10)),
+    ("oscillator", None, ModelParams(theta=0.7, hbar=1.3, mass=0.8, omega=1.7, cutoff=10)),
+], ids=["free", "oscillator", "diagonal-table", "x1-squared-table", "linear-x1-table",
+        "complex-table", "oscillator-hbar-1.3"])
+def test_evolve_matches_expm_oracle(kind, table, params, monkeypatch):
     h = hamiltonian(build_fock(params), HamiltonianSpec(kind, potential_coeffs=table))
     psi = full_state(np.random.default_rng(3), 10)
     t = 0.7
     with monkeypatch.context() as patch:
-        if not dense:  # the sector route never materializes H
-            patch.setattr(SuperOperator, "matrix", property(refuse_matrix))
+        patch.setattr(SuperOperator, "matrix", property(refuse_matrix))
         got = vec(evolve(psi, h, t).op)
     want = scipy.linalg.expm(-1j * np.asarray(h.matrix) * t / params.hbar) @ vec(psi.op)
     assert np.max(np.abs(got - want)) < 1e-11
@@ -296,38 +409,23 @@ def test_evolve_ground_state_is_stationary(ctx12):
     assert abs(out.norm - 1.0) < 1e-13
 
 
-def _count_eigh(monkeypatch) -> list:
-    """Record the shape of every np.linalg.eigh input from now on."""
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return shapes
-
-
 # the oscillator at N=12 has 2N - 1 = 23 square sector blocks, of sizes 12 - |k|
-BLOCKS_12 = sorted((12 - abs(k),) * 2 for k in range(-11, 12))
+BLOCKS_12 = sorted(((12 - abs(k),) * 2, "f") for k in range(-11, 12))
 
 
 def test_spectrum_and_evolve_share_one_eigendecomposition(ctx12, monkeypatch):
     # the 23 sector blocks are solved once, for both consumers
-    shapes = _count_eigh(monkeypatch)
+    calls = _count_eigh(monkeypatch)
     h = hamiltonian(ctx12, OSC)
     res = solve_spectrum(h, 1)
     solve_spectrum(h, 1)
     out = evolve(res.eigenstates[0], h, 1.5)
-    assert len(shapes) == 23
-    assert sorted(shapes) == BLOCKS_12
-    assert (144, 144) not in shapes
+    assert sorted(calls) == BLOCKS_12  # 23 real solves
     assert abs(abs(hs_inner(res.eigenstates[0], out)) - 1.0) < 1e-12
 
 
 def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
-    shapes = _count_eigh(monkeypatch)
+    calls = _count_eigh(monkeypatch)
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=12)), OSC)
     psi = full_state(np.random.default_rng(5), 12)
     out = [None] * 4
@@ -346,9 +444,7 @@ def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(shapes) == 23  # one set of sector blocks, not one per thread
-    assert sorted(shapes) == BLOCKS_12
-    assert (144, 144) not in shapes
+    assert sorted(calls) == BLOCKS_12  # one set of sector blocks, not one per thread
     assert all(np.array_equal(o, out[0]) for o in out)
 
 

@@ -1,6 +1,7 @@
 """Position measurement layer: symbols, density series, POVM elements, grids."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -111,6 +112,18 @@ def test_coherent_state_op_truncation_gate():
     ctx = build_fock(ModelParams(theta=THETA, cutoff=12))
     with pytest.raises(TruncationError, match="raise the cutoff"):
         coherent_state_op(ctx, 3.0)
+    with pytest.raises(TruncationError, match=r"needs N >= 1e\+10\)"):
+        coherent_state_op(ctx, 1e5)  # too far out to search: the bound |z|^2 + 4
+
+
+@pytest.mark.parametrize("z,cutoff", [(1 + 0.5j, 12), (1e-5, 3), (0.3, 4), (3.0, 4), (10j, 30)])
+def test_coherent_state_op_advises_the_least_cutoff_it_accepts(z, cutoff):
+    with pytest.raises(TruncationError) as refused:
+        coherent_state_op(build_fock(ModelParams(theta=THETA, cutoff=cutoff)), z)
+    need = int(re.search(r"needs N >= (\d+)\)", str(refused.value)).group(1))
+    assert coherent_state_op(build_fock(ModelParams(theta=THETA, cutoff=need)), z).is_normalized()
+    with pytest.raises(TruncationError):
+        coherent_state_op(build_fock(ModelParams(theta=THETA, cutoff=need - 1)), z)
 
 
 # ---------------------------------------------------------------- symbols
