@@ -71,7 +71,6 @@ from .observables import (  # noqa: E402
 )
 from .oscillator import (  # noqa: E402
     BogoliubovResult,
-    OscillatorSolution,
     alpha,
     bogoliubov_transform,
     energy,
@@ -82,7 +81,6 @@ from .oscillator import (  # noqa: E402
     k_norms,
     ladder_ops,
     lambdas,
-    oscillator_solution,
 )
 from .dynamics import (  # noqa: E402
     Hamiltonian,
@@ -130,8 +128,7 @@ __all__ = [
     # oscillator
     "lambdas", "alpha", "k_norms", "energy", "ground_probability",
     "BogoliubovResult", "bogoliubov_transform", "ladder_ops",
-    "OscillatorSolution", "oscillator_solution", "ground_tail_weight",
-    "ground_state", "excited_state",
+    "ground_tail_weight", "ground_state", "excited_state",
     # dynamics
     "HamiltonianSpec", "Hamiltonian", "SpectrumResult", "hamiltonian",
     "solve_spectrum", "evolve", "plane_wave", "boundary_defect_depth",

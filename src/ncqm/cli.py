@@ -72,11 +72,6 @@ from .oscillator import (
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {
-    "schema", "theta", "hbar", "mass", "omega", "cutoff", "seed", "out", "format",
-    "system", "levels", "kappa", "state", "extent", "points", "time", "suite",
-}
-
 _CONFIG_NUMBERS = {  # keys whose flag takes a number, with the flag's type
     "theta": float, "hbar": float, "mass": float, "omega": float, "extent": float,
     "time": float, "cutoff": int, "seed": int, "levels": int, "points": int,
@@ -95,7 +90,13 @@ _DEFAULTS = {
     "check": {**_COMMON_DEFAULTS, "suite": None},
 }
 
+_CONFIG_KEYS = {"schema"}.union(*_DEFAULTS.values())
+
 _BOUNDARY_WEIGHT_MAX = 0.05  # spectra: levels above this are truncation artifacts
+# input caps, checked before anything is built: the theta = 0 enumeration makes
+# O(levels) rows, and a grid holds points^2 values and an N x points^2 product
+_LEVELS_MAX = 10000
+_POINTS_MAX = 1001
 
 
 # ---------------------------------------------------------------- plumbing
@@ -432,6 +433,8 @@ def _spectrum_oscillator(opts: dict) -> dict:
     levels = int(opts["levels"])
     if levels < 1:
         raise UsageError(f"--levels must be positive, got {levels}")
+    if levels > _LEVELS_MAX:
+        raise UsageError(f"--levels is capped at {_LEVELS_MAX}, got {levels}")
     theta = float(opts["theta"])
     notes: list[str] = []
 
@@ -543,6 +546,8 @@ def _run_probability(args: argparse.Namespace) -> int:
     if opts["out"] is None:
         raise UsageError("probability writes a CSV grid plus a JSON sidecar; pass --out PATH")
     points = int(opts["points"])
+    if points > _POINTS_MAX:
+        raise UsageError(f"--points is capped at {_POINTS_MAX}, got {points}")
     if opts["extent"] is not None:
         _finite(opts, "extent")
     kind, detail = _parse_state_selector(opts["state"])
@@ -816,7 +821,7 @@ def _suite_povm(opts: dict) -> list[dict]:
 
 
 def _suite_oscillator_oracle(opts: dict) -> list[dict]:
-    """Closed-form oscillator layer against itself and against the dense eigensolver."""
+    """Closed-form oscillator layer against itself, its excited states and the spectrum."""
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 30
     _need_positive_theta(opts, "the oscillator realization")
     _need_positive_omega(opts)

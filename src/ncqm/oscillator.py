@@ -18,7 +18,7 @@ The naive difference forms lose every digit by w ~ 1e6; these do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "BogoliubovResult",
     "bogoliubov_transform",
     "ladder_ops",
-    "OscillatorSolution",
-    "oscillator_solution",
     "ground_state",
     "excited_state",
     "ground_tail_weight",
@@ -245,40 +243,6 @@ def ladder_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator, SuperOpe
     return a1, a1d, a2, a2d
 
 
-@dataclass(frozen=True)
-class OscillatorSolution:
-    """Bundle of the closed-form constants and ladder maps for one context."""
-
-    params: ModelParams
-    lambda1: float
-    lambda2: float
-    alpha: float
-    K1: float
-    K2: float
-    A1: SuperOperator
-    A1dag: SuperOperator
-    A2: SuperOperator
-    A2dag: SuperOperator
-
-
-def oscillator_solution(ctx: FockContext) -> OscillatorSolution:
-    lam1, lam2 = lambdas(ctx.params)
-    k1, k2 = k_norms(ctx.params)
-    a1, a1d, a2, a2d = ladder_ops(ctx)
-    return OscillatorSolution(
-        params=ctx.params,
-        lambda1=lam1,
-        lambda2=lam2,
-        alpha=alpha(ctx.params),
-        K1=k1,
-        K2=k2,
-        A1=a1,
-        A1dag=a1d,
-        A2=a2,
-        A2dag=a2d,
-    )
-
-
 def ground_tail_weight(params: ModelParams) -> float:
     """Normalized weight of the ground state on the top retained Fock level.
 
@@ -320,43 +284,33 @@ def ground_state(ctx: FockContext, tail_tol: float = 1e-3) -> QuantumState:
 
 
 def excited_state(ctx: FockContext, n1: int, n2: int, tail_tol: float = 1e-3) -> QuantumState:
-    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, built at an enlarged internal cutoff.
+    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, built at internal cutoff N' = N + n1 + n2.
 
-    Applying the ladders at the target cutoff directly contaminates the result
-    with O(0.1) boundary artifacts (the truncated [b, b^dag] defect hits the
-    psi_0 tail and the momenta amplify it by 1/theta).  Instead the state is
-    constructed at N' = N + ceil(28/|alpha|) + 2(n1+n2), so the discarded tail
-    sits below double precision, then projected back to N x N and renormalized.
+    The ladders are local.  X1 and X2 multiply by the tridiagonal x1 and x2, and
+    P1 and P2 are commutators with them, so applying a ladder truncated at N'
+    spoils only row and column N'-1 of its result; every entry above reads
+    levels that are still exact.  Each further application moves that band in
+    by one level, so after n1 + n2 applications it starts at level N, outside
+    the kept N x N block.  That block is therefore the exact untruncated
+    result up to a scale, and it is projected out and renormalized.  The
+    tail check is ground_state's at cutoff N, including its cutoff advice.
     """
     if n1 < 0 or n2 < 0 or int(n1) != n1 or int(n2) != n2:
         raise UsageError(f"quantum numbers must be non-negative integers, got ({n1}, {n2})")
-    w = ground_tail_weight(ctx.params)
-    if w > tail_tol:
-        raise TruncationError(
-            f"state tail weight {w:.3e} exceeds {tail_tol:.1e} at cutoff {ctx.params.cutoff}"
-        )
+    psi0 = ground_state(ctx, tail_tol=tail_tol)
     if n1 == 0 and n2 == 0:
-        return ground_state(ctx, tail_tol=tail_tol)
+        return psi0
 
-    a = alpha(ctx.params)
     n = ctx.params.cutoff
-    pad = math.ceil(28.0 / abs(a)) + 2 * (n1 + n2)
-    n_big = n + pad
+    n_big = n + n1 + n2
     if n_big > 2000:
         raise TruncationError(
-            f"ground-state decay |alpha| = {abs(a):.3e} needs internal cutoff {n_big} > 2000; "
+            f"n1 + n2 = {n1 + n2} at cutoff {n} needs internal cutoff {n_big} > 2000; "
             "state not representable at feasible size"
         )
-    big_params = ModelParams(
-        theta=ctx.params.theta,
-        hbar=ctx.params.hbar,
-        mass=ctx.params.mass,
-        omega=ctx.params.omega,
-        cutoff=n_big,
-    )
-    big_ctx = build_fock(big_params)
+    big_ctx = build_fock(replace(ctx.params, cutoff=n_big))
     _, a1d, _, a2d = ladder_ops(big_ctx)
-    state = QuantumState(_ground_matrix(a, n_big))
+    state = QuantumState(_ground_matrix(alpha(ctx.params), n_big))
     for _ in range(n1):
         state = a1d.apply(state)
     for _ in range(n2):

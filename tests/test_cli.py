@@ -97,6 +97,27 @@ def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, co
     assert err.startswith(f"error: config key '{key}'") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,limit,unreached", [
+    (["probability", "--points", "1002", "--out", "{out}"], 1001,
+     ("_build_state", "probability_grid")),
+    (["spectrum", "--theta", "0", "--levels", "10001"], 10000, ("_analytic_levels",)),
+    (["spectrum", "--levels", "10001"], 10000, ("build_fock",)),
+], ids=["points", "levels-commutative", "levels"])
+def test_size_caps_exit_2_before_building_anything(capsys, tmp_path, monkeypatch,
+                                                   argv, limit, unreached):
+    from ncqm import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a capped size reached the build")
+
+    for name in unreached:
+        monkeypatch.setattr(cli, name, unreachable)
+    argv = [a.replace("{out}", str(tmp_path / "p.csv")) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"capped at {limit}" in err
+
+
 def test_missing_config_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["spectrum", "--config", str(tmp_path / "absent.json")])
     assert code == 2 and "cannot read config" in err

@@ -1,8 +1,10 @@
 """Closed-form oscillator layer: frequencies, ground/excited states, Bogoliubov data."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from ncqm import (
     DegenerateOscillatorError,
     HamiltonianSpec,
     ModelParams,
+    QuantumState,
     TruncationError,
     UsageError,
     alpha,
@@ -27,8 +30,8 @@ from ncqm import (
     k_norms,
     ladder_ops,
     lambdas,
-    oscillator_solution,
 )
+from ncqm import oscillator
 from conftest import interior_state
 
 P01 = ModelParams(theta=0.1, cutoff=30)
@@ -191,10 +194,10 @@ def test_ground_tail_weight_matches_top_entry(ctx01):
 
 
 def test_ladders_annihilate_ground(ctx01):
-    sol = oscillator_solution(ctx01)
+    a1, _, a2, _ = ladder_ops(ctx01)
     psi0 = ground_state(ctx01)
-    assert sol.A1.apply(psi0).norm < 1e-12
-    assert sol.A2.apply(psi0).norm < 1e-12
+    assert a1.apply(psi0).norm < 1e-12
+    assert a2.apply(psi0).norm < 1e-12
 
 
 def test_ladder_fock_algebra_on_interior_states():
@@ -241,6 +244,103 @@ def test_excited_states_are_interior_eigenstates(ctx01):
     for n1, n2 in ((1, 0), (0, 1), (1, 1)):
         res = interior_residual(h, excited_state(ctx01, n1, n2), energy(ctx01.params, n1, n2), 3)
         assert res < 1e-6
+
+
+EXCITED_PARAMS = [
+    ModelParams(theta=0.1, cutoff=30),
+    ModelParams(theta=0.5, hbar=1.3, mass=0.8, omega=1.7, cutoff=30),
+    ModelParams(theta=2.0, hbar=0.7, mass=1.5, omega=0.6, cutoff=40),
+    ModelParams(theta=0.1, cutoff=80),
+]
+EXCITED_LEVELS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (0, 4))
+
+
+def _excited_at(ctx, n1, n2, n_big):
+    """excited_state's construction, repeated at internal cutoff n_big."""
+    n = ctx.params.cutoff
+    _, a1d, _, a2d = ladder_ops(build_fock(replace(ctx.params, cutoff=n_big)))
+    state = QuantumState(oscillator._ground_matrix(alpha(ctx.params), n_big))
+    for _ in range(n1):
+        state = a1d.apply(state)
+    for _ in range(n2):
+        state = a2d.apply(state)
+    return np.array(state.op[:n, :n]) / np.linalg.norm(state.op[:n, :n])
+
+
+@pytest.mark.parametrize("params", EXCITED_PARAMS, ids=lambda p: f"theta{p.theta}-N{p.cutoff}")
+def test_excited_state_needs_no_pad_beyond_its_ladders(params):
+    # N + n1 + n2 levels already give the exact N x N block: the result must not
+    # move when the same construction runs at the old alpha-based pad or above
+    ctx = build_fock(params)
+    old_pad = math.ceil(28.0 / abs(alpha(params)))
+    for n1, n2 in EXCITED_LEVELS:
+        got = np.array(excited_state(ctx, n1, n2).op)
+        for n_big in (params.cutoff + old_pad + 2 * (n1 + n2), params.cutoff + n1 + n2 + 5):
+            assert np.max(np.abs(got - _excited_at(ctx, n1, n2, n_big))) < 1e-11
+
+
+def test_excited_state_builds_one_context_at_n_plus_n1_plus_n2(ctx01, monkeypatch):
+    cutoffs = []
+
+    def recording(params):
+        cutoffs.append(params.cutoff)
+        return build_fock(params)
+
+    monkeypatch.setattr(oscillator, "build_fock", recording)
+    for n1, n2 in EXCITED_LEVELS:
+        cutoffs.clear()
+        excited_state(ctx01, n1, n2)
+        assert cutoffs == [30 + n1 + n2]
+
+
+def _mp_excited(params, n1, n2):
+    """40-digit (A1dag)^n1 (A2dag)^n2 psi_0 on the N x N block, from the two-term forms
+
+    A1dag psi = -sqrt(2 th/K1) ((l1/hbar + hbar/th) b^dag psi - (hbar/th) psi b^dag)
+    A2dag psi =  sqrt(2 th/K2) ((l2/hbar - hbar/th) b psi + (hbar/th) psi b)
+
+    applied as index shifts on a matrix with room for every raised level.
+    """
+    with mpmath.workdps(40):
+        th, hb, m, w = (mpmath.mpf(v) for v in (params.theta, params.hbar, params.mass, params.omega))
+        mw = m * w
+        big = mpmath.sqrt(4 * hb**2 + (mw * th) ** 2) + mw * th
+        lam1, lam2 = mw * big / 2, 2 * hb**2 * mw / big
+        k1 = lam1 * (2 * lam1 * th / hb**2 + 4)
+        k2 = lam2 * (4 - 2 * lam2 * th / hb**2)
+        q = 1 - th * lam2 / hb**2  # e^alpha
+        n = params.cutoff
+        size = n + 2 * (n1 + n2)
+        psi = [[q**i if i == j else mpmath.mpc(0) for j in range(size)] for i in range(size)]
+
+        def at(i, j):
+            return psi[i][j] if 0 <= i < size and 0 <= j < size else 0
+
+        s1 = -mpmath.sqrt(2 * th / k1)
+        s2 = mpmath.sqrt(2 * th / k2)
+        for _ in range(n2):
+            psi = [[s2 * ((lam2 / hb - hb / th) * mpmath.sqrt(i + 1) * at(i + 1, j)
+                          + (hb / th) * mpmath.sqrt(j) * at(i, j - 1))
+                    for j in range(size)] for i in range(size)]
+        for _ in range(n1):
+            psi = [[s1 * ((lam1 / hb + hb / th) * mpmath.sqrt(i) * at(i - 1, j)
+                          - (hb / th) * mpmath.sqrt(j + 1) * at(i, j + 1))
+                    for j in range(size)] for i in range(size)]
+        norm = mpmath.sqrt(sum(abs(psi[i][j]) ** 2 for i in range(n) for j in range(n)))
+        return np.array([[complex(psi[i][j] / norm) for j in range(n)] for i in range(n)])
+
+
+def test_excited_state_matches_mpmath_ladders(ctx01):
+    for n1, n2 in ((1, 0), (0, 1), (2, 1), (1, 3)):
+        got = np.array(excited_state(ctx01, n1, n2).op)
+        assert np.max(np.abs(got - _mp_excited(ctx01.params, n1, n2))) < 1e-11
+
+
+def test_excited_state_truncation_gate_names_the_cutoff(ctx01):
+    with pytest.raises(TruncationError, match="N >="):
+        excited_state(build_fock(ModelParams(theta=0.1, cutoff=12)), 1, 0)
+    with pytest.raises(TruncationError, match="n1 \\+ n2 = 2000 at cutoff 30"):
+        excited_state(ctx01, 1000, 1000)
 
 
 def test_excited_state_validation(ctx01):
