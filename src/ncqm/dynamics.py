@@ -199,10 +199,12 @@ def _class_blocks(h: Hamiltonian) -> list:
     g = math.gcd(*np.abs(rows - cols).tolist())
     m, l = np.divmod(np.arange(n * n), n)
     k = m - l if g == 0 else (m - l) % g
+    # a sector's m and l run over contiguous ranges, so its blocks are basic slices
+    key = (lambda i: (slice(i[0], i[-1] + 1),) * 2) if g == 0 else (lambda i: np.ix_(i, i))
     blocks = []
     for c in np.unique(k):
         idx = np.flatnonzero(k == c)
-        mi, li = np.ix_(m[idx], m[idx]), np.ix_(l[idx], l[idx])
+        mi, li = key(m[idx]), key(l[idx])
         block = sum(left[mi] * right[li].T for left, right in h.terms)
         defect = np.max(np.abs(block - block.conj().T))
         scale = max(1.0, np.max(np.abs(block)))

@@ -13,7 +13,9 @@ so the POVM element pi_z is left multiplication by |z><z| / (2 pi theta).  The
 identity is exact at any cutoff: psi psi^dag lives in the N x N block, so only
 the first N Fock components of |z> enter.  Densities, grids, the POVM matrix,
 the measurement update and the identity quadrature are all short products with
-the truncated coherent vector.
+the truncated coherent vector.  For a psi on one diagonal m - l = d, as the
+oscillator's states are, psi psi^dag is exactly diagonal and the density is
+the radial sum sum_m |psi_m,m-d|^2 |g_m(|z|)|^2 / (2 pi theta) (_densities).
 
 The derivative series itself is kept as an independent oracle,
 density_series, built on the exact symbol calculus (symbol, deriv_z,
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_BLOCK = 1 << 20  # entries of the coherent basis evaluated at once, bounding a grid's memory
 
 
 class TruncationWarning(UserWarning):
@@ -69,12 +72,7 @@ class TruncationWarning(UserWarning):
 
 def coherent_vector(cutoff: int, z: complex) -> np.ndarray:
     """Fock components <n|z> = e^{-|z|^2/2} z^n / sqrt(n!), by stable recurrence."""
-    z = complex(z)
-    out = np.empty(cutoff, dtype=complex)
-    out[0] = math.exp(-0.5 * abs(z) ** 2)
-    for n in range(1, cutoff):
-        out[n] = out[n - 1] * z / math.sqrt(n)
-    return out
+    return _coherent_basis(np.array([complex(z)]), cutoff)[0]
 
 
 def coherent_tail(cutoff: int, z: complex, level: int) -> float:
@@ -210,12 +208,14 @@ def deriv_zbar(sym: StateSymbol) -> StateSymbol:
 
 
 def _coherent_basis(zs: np.ndarray, count: int) -> np.ndarray:
-    """Rows of g_a(z_p) for a = 0..count-1, one row per point."""
-    out = np.empty((len(zs), count), dtype=complex)
+    """Rows of g_a(z_p), a < count, by one cumprod of g_0 = e^{-|z|^2/2}, z/sqrt(1), z/sqrt(2), ...
+
+    For real zs >= 0 (moduli |z|) the rows are the moduli |g_a(z)|, by the same recurrence.
+    """
+    out = np.empty((len(zs), count), dtype=np.result_type(zs, float))
     out[:, 0] = np.exp(-0.5 * np.abs(zs) ** 2)
-    for a in range(1, count):
-        out[:, a] = out[:, a - 1] * zs / math.sqrt(a)
-    return out
+    out[:, 1:] = zs[:, None] * (1.0 / np.sqrt(np.arange(1, count)))
+    return np.cumprod(out, axis=1, out=out)
 
 
 def _chain_densities(psi_op: np.ndarray, zs: np.ndarray, max_terms: int) -> np.ndarray:
@@ -290,10 +290,45 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
     return float(total[0] / (2.0 * math.pi * ctx.params.theta))
 
 
+def _in_blocks(points: np.ndarray, n: int, reduce) -> np.ndarray:
+    """reduce(_coherent_basis(block, n)) over blocks of points, each basis under _BLOCK entries."""
+    step = max(1, _BLOCK // n)
+    return np.concatenate([reduce(_coherent_basis(points[s : s + step], n))
+                           for s in range(0, len(points), step)])
+
+
+def _radial_densities(rows: np.ndarray, vals: np.ndarray, n: int, zs: np.ndarray) -> np.ndarray:
+    """sum_m |psi_m,m-d|^2 |g_m(|z|)|^2, given the one-diagonal psi's nonzero vals and their rows."""
+    w = np.zeros(n)
+    w[rows] = vals.real**2 + vals.imag**2
+    radii, inv = np.unique(np.abs(zs), return_inverse=True)
+    return _in_blocks(radii, n, lambda a: a**2 @ w)[inv]
+
+
+def _projector_densities(psi_op: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """||psi^dag |z>||^2 at each point, as the rows of conj(g(z)) psi = g(conj z) psi."""
+
+    def norms(basis):
+        w = basis @ psi_op
+        return np.sum(w.real**2 + w.imag**2, axis=1)
+
+    return _in_blocks(zs.conj(), psi_op.shape[0], norms)
+
+
 def _densities(psi_op: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """||psi^dag |z>||^2 at each point, one matrix product over all points."""
-    w = _coherent_basis(zs, psi_op.shape[0]) @ psi_op.conj()
-    return np.sum(w.real**2 + w.imag**2, axis=1)
+    """||psi^dag |z>||^2 at each point, by the radial sum when psi lies on one diagonal.
+
+    If every nonzero psi_ml has the same m - l = d, each row holds one entry and
+    the rows have disjoint supports, so psi psi^dag is exactly diagonal and the
+    density depends on |z| alone; it is evaluated once per distinct radius.  The
+    route reads the exact zeros of psi, with no tolerance.
+    """
+    n = psi_op.shape[0]
+    flat = np.flatnonzero(psi_op != 0)
+    rows, cols = np.divmod(flat, n)
+    if np.all(rows - cols == rows[:1] - cols[:1]):
+        return _radial_densities(rows, psi_op.flat[flat], n, zs)
+    return _projector_densities(psi_op, zs)
 
 
 def position_probability(ctx: FockContext, psi: QuantumState, z: complex) -> float:
@@ -350,8 +385,7 @@ class ProbabilityGrid:
 def probability_grid(ctx: FockContext, psi: QuantumState, grid: GridSpec) -> ProbabilityGrid:
     """Evaluate the position density over a grid; embarrassingly parallel over points.
 
-    z = (x1 + i x2)/sqrt(2 theta) per point; the whole grid is one product of
-    the points' truncated coherent vectors with conj(psi).
+    z = (x1 + i x2)/sqrt(2 theta) per point; see _densities for the two routes.
     """
     x1, x2 = grid.axes()
     theta = ctx.params.theta

@@ -26,8 +26,10 @@ from ncqm import (
     density_series,
     deriv_z,
     deriv_zbar,
+    excited_state,
     ground_probability,
     ground_state,
+    lambdas,
     plane_wave,
     position_probability,
     post_measurement,
@@ -39,7 +41,8 @@ from ncqm import (
     unvec,
     vec,
 )
-from ncqm.measurement import _coherent_tails
+from ncqm import measurement
+from ncqm.measurement import _BLOCK, _coherent_tails, _projector_densities
 from conftest import full_state, interior_state
 
 THETA = 0.1
@@ -354,6 +357,110 @@ def test_grid_counts_the_points_coherent_tail_flags():
     unsafe = sum(coherent_tail(30, z, 27) >= 1e-8 for z in zs)
     assert 0 < unsafe < len(zs)
     assert res.warnings[0].startswith(f"{unsafe} of {len(zs)} grid points truncation-unsafe")
+
+
+# ---------------------------------------------------------------- radial route
+
+def _routes(monkeypatch):
+    """Record the route _densities takes on each call."""
+    taken = []
+    for name in ("_radial_densities", "_projector_densities"):
+        def spy(*args, _f=getattr(measurement, name), _name=name):
+            taken.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(measurement, name, spy)
+    return taken
+
+
+def _diagonal_state(rng, n, d):
+    """Seeded normalized state whose nonzero entries all lie on m - l = d, below level n - 6."""
+    op = np.zeros((n, n), dtype=complex)
+    m = np.arange(max(d, 0), n - 6 + min(d, 0))
+    op[m, m - d] = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
+    return QuantumState(op).normalized()
+
+
+def _on_diagonal(psi, d):
+    # excited states with n1, n2 > 0 carry ~1e-17 roundoff off their diagonal d = n1 - n2
+    op = np.array(psi.op)
+    m, l = np.indices(op.shape)
+    op[m - l != d] = 0.0
+    return QuantumState(op)
+
+
+def _grid_points(grid):
+    x1, x2 = grid.axes()
+    return ((x1[:, None] + 1j * x2[None, :]) / math.sqrt(2.0 * THETA)).reshape(-1)
+
+
+def _radial_cases():
+    ctx80 = build_fock(ModelParams(theta=THETA, cutoff=80))
+    rng = np.random.default_rng(21)
+    cases = [(ctx80, _on_diagonal(excited_state(ctx80, *q), q[0] - q[1]), excited_state(ctx80, *q))
+             for q in ((1, 0), (2, 1), (1, 3), (0, 4))]
+    cases += [(ctx80, psi, psi) for psi in (_diagonal_state(rng, 80, 2), _diagonal_state(rng, 80, -3))]
+    return cases
+
+
+def test_radial_grid_matches_projector(monkeypatch):
+    # the density workload's ground grid: 61 x 61 over its extent at the CLI's auto cutoff 344
+    params = ModelParams(theta=THETA, cutoff=344)
+    s = THETA * lambdas(params)[1] / params.hbar**2
+    ext = 4.5 * math.sqrt(THETA / (s * (2.0 - s)))
+    ctx = build_fock(params)
+    cases = [(ctx, ground_state(ctx), ground_state(ctx), GridSpec((-ext, ext), (-ext, ext)))]
+    cases += [(*case, GridSpec((-1.5, 1.5), (-1.2, 1.8), (41, 37))) for case in _radial_cases()]
+    taken = _routes(monkeypatch)
+    for ctx, psi, original, grid in cases:
+        taken.clear()
+        got = probability_grid(ctx, psi, grid).values
+        assert taken == ["_radial_densities"]
+        want = _projector_densities(np.asarray(original.op), _grid_points(grid)).reshape(got.shape)
+        want /= 2.0 * math.pi * THETA
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
+
+
+def test_radial_density_matches_series(monkeypatch):
+    taken = _routes(monkeypatch)
+    for ctx, psi, _ in _radial_cases():
+        # not z = 0: there the series stops after three zero terms for d <= -3
+        for z in (0.05 + 0.02j, 0.4 - 0.3j, 1.1j, -1.5 + 0.5j, 2.2 + 1.0j):
+            got = position_probability(ctx, psi, z)
+            assert got == pytest.approx(density_series(ctx, psi, z), rel=1e-10)
+    assert set(taken) == {"_radial_densities"}
+
+
+def test_radial_route_needs_exact_zeros(monkeypatch, ctx16):
+    psi = _diagonal_state(np.random.default_rng(22), 16, 1)
+    op = np.array(psi.op)
+    op[3, 5] = 1e-300
+    taken = _routes(monkeypatch)
+    position_probability(ctx16, psi, 0.3)
+    position_probability(ctx16, QuantumState(op), 0.3)
+    assert taken == ["_radial_densities", "_projector_densities"]
+
+
+def test_grid_bases_stay_under_the_block_cap(monkeypatch):
+    # a 1001 x 1001 grid: one basis row per distinct radius on the radial route, per point on the other
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=40))
+    grid = GridSpec((-1.0, 1.0), (-1.0, 1.0), (1001, 1001))
+    shapes = []
+
+    def spy(zs, count, _f=measurement._coherent_basis):
+        out = _f(zs, count)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(measurement, "_coherent_basis", spy)
+    radii = len(np.unique(np.abs(_grid_points(grid))))
+    for psi, rows in ((ground_state(ctx), radii), (coherent_state_op(ctx, 0.5 - 0.2j), 1001**2)):
+        shapes.clear()
+        res = probability_grid(ctx, psi, grid)
+        assert len(shapes) > 1 and all(p * n <= _BLOCK and n == 40 for p, n in shapes)
+        assert sum(p for p, _ in shapes) == rows
+        for i, j in ((0, 0), (500, 500), (123, 877)):
+            z = (res.x1[i] + 1j * res.x2[j]) / math.sqrt(2.0 * THETA)
+            assert res.values[i, j] == pytest.approx(position_probability(ctx, psi, z), rel=1e-12)
 
 
 # ---------------------------------------------------------------- POVM
