@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -72,26 +73,6 @@ from .oscillator import (
 
 __all__ = ["main"]
 
-_CONFIG_NUMBERS = {  # keys whose flag takes a number, with the flag's type
-    "theta": float, "hbar": float, "mass": float, "omega": float, "extent": float,
-    "time": float, "cutoff": int, "seed": int, "levels": int, "points": int,
-}
-
-_COMMON_DEFAULTS = {
-    "theta": 0.1, "hbar": 1.0, "mass": 1.0, "omega": 1.0,
-    "cutoff": None, "seed": 0, "out": None, "format": None,
-}
-
-_DEFAULTS = {
-    "spectrum": {**_COMMON_DEFAULTS, "system": "oscillator", "levels": 10, "kappa": None},
-    "probability": {**_COMMON_DEFAULTS, "state": "ground", "extent": None, "points": 61},
-    "evolve": {**_COMMON_DEFAULTS, "system": "oscillator", "state": "ground",
-               "time": 10.0, "kappa": None},
-    "check": {**_COMMON_DEFAULTS, "suite": None},
-}
-
-_CONFIG_KEYS = {"schema"}.union(*_DEFAULTS.values())
-
 _BOUNDARY_WEIGHT_MAX = 0.05  # spectra: levels above this are truncation artifacts
 # input caps, checked before anything is built: the theta = 0 enumeration makes
 # O(levels) rows, and a grid holds points^2 values and an N x points^2 product
@@ -121,7 +102,7 @@ def _load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    opts = dict(_DEFAULTS[command])
+    opts = {key: default for key, (commands, default, _) in _FLAGS.items() if command in commands}
     cfg = _load_config(args.config) if args.config else {}
     for key in opts:
         if cfg.get(key) is not None:
@@ -139,7 +120,7 @@ def _config_value(key: str, value):
     A value that does not convert, or a non-integral number for an integer
     key, is a UsageError that names the key.
     """
-    kind = _CONFIG_NUMBERS.get(key)
+    kind = _FLAGS[key][2].get("type")
     if kind is None:
         return value
     try:
@@ -174,20 +155,7 @@ def _as_complex(value, what: str) -> complex:
 
 
 def _params(opts: dict, cutoff: int) -> ModelParams:
-    return ModelParams(
-        theta=float(opts["theta"]),
-        hbar=float(opts["hbar"]),
-        mass=float(opts["mass"]),
-        omega=float(opts["omega"]),
-        cutoff=int(cutoff),
-    )
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {
-        "theta": params.theta, "hbar": params.hbar, "mass": params.mass,
-        "omega": params.omega, "cutoff": params.cutoff,
-    }
+    return ModelParams(*(float(opts[k]) for k in ("theta", "hbar", "mass", "omega")), cutoff=int(cutoff))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -283,8 +251,7 @@ def _load_state_file(path: str) -> np.ndarray:
 
 def _sigma_x(opts: dict) -> float:
     """Ground-state position spread sqrt(theta / (2s - s^2)), s = theta lam2 / hbar^2."""
-    params = ModelParams(theta=float(opts["theta"]), hbar=float(opts["hbar"]),
-                         mass=float(opts["mass"]), omega=float(opts["omega"]), cutoff=2)
+    params = _params(opts, 2)
     _, lam2 = lambdas(params)
     s = params.theta * lam2 / params.hbar**2
     return math.sqrt(params.theta / (s * (2.0 - s)))
@@ -375,11 +342,8 @@ def _analytic_levels(params: ModelParams, count: int) -> list[tuple[float, float
     total = 1
     while (total + 1) * (total + 2) // 2 < count + 2:
         total += 1
-    rows = []
-    for n1 in range(total + 1):
-        for n2 in range(total + 1 - n1):
-            rows.append((energy(params, n1, n2), params.hbar * (n2 - n1), n1, n2))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = sorted((e, params.hbar * m, n1, n2)
+                  for m, queue in _analytic_towers(params, total).items() for e, n1, n2 in queue)
     return rows[:count]
 
 
@@ -446,7 +410,7 @@ def _spectrum_oscillator(opts: dict) -> dict:
         ]
         notes.append("commutative limit: closed-form level enumeration "
                      "(the operator realization needs theta > 0)")
-        return {"system": "oscillator", "params": _params_dict(params), "levels": rows,
+        return {"system": "oscillator", "params": asdict(params), "levels": rows,
                 "notes": notes}
 
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 30
@@ -471,7 +435,7 @@ def _spectrum_oscillator(opts: dict) -> dict:
     notes.append("analytic pairing follows angular-momentum towers; delta reflects the "
                  "truncation shift (it contracts geometrically with the cutoff) and some "
                  "analytic levels may lack a clean numeric partner at coarse cutoffs")
-    return {"system": "oscillator", "params": _params_dict(params), "levels": rows, "notes": notes}
+    return {"system": "oscillator", "params": asdict(params), "levels": rows, "notes": notes}
 
 
 def _spectrum_free(opts: dict) -> dict:
@@ -492,7 +456,7 @@ def _spectrum_free(opts: dict) -> dict:
     }
     notes = ["plane-wave eigen-residual is measured away from the last mask_depth "
              "levels, where truncating the exponential series necessarily bends the state"]
-    return {"system": "free", "params": _params_dict(params), "levels": [row], "notes": notes}
+    return {"system": "free", "params": asdict(params), "levels": [row], "notes": notes}
 
 
 def _spectrum_csv(report: dict) -> str:
@@ -567,7 +531,7 @@ def _run_probability(args: argparse.Namespace) -> int:
         "schema": 1,
         "command": "probability",
         "state": str(opts["state"]),
-        "params": _params_dict(ctx.params),
+        "params": asdict(ctx.params),
         "seed": int(opts["seed"]),
         "grid": {
             "x1_range": [-extent, extent],
@@ -621,7 +585,7 @@ def _run_evolve(args: argparse.Namespace) -> int:
         "state": state_raw,
         "time": t,
         "seed": int(opts["seed"]),
-        "params": _params_dict(ctx.params),
+        "params": asdict(ctx.params),
         "norm_initial": psi0.norm,
         "norm_final": psi_t.norm,
         "norm_drift": abs(psi_t.norm - psi0.norm),
@@ -642,6 +606,16 @@ def _check_row(name: str, value: float, tol: float) -> dict:
     return {"name": name, "value": float(value), "tolerance": tol, "pass": bool(value < tol)}
 
 
+def _worst(states: list[QuantumState], residual) -> float:
+    """max over the sample states of the Frobenius norm of residual(psi)."""
+    return max(float(np.linalg.norm(residual(psi))) for psi in states)
+
+
+def _commutator(s, t, psi: QuantumState) -> np.ndarray:
+    """[S, T] psi as a matrix."""
+    return s.apply(t.apply(psi)).op - t.apply(s.apply(psi)).op
+
+
 def _suite_algebra(opts: dict) -> list[dict]:
     """Heisenberg algebra of the position and momentum superoperators.
 
@@ -655,14 +629,6 @@ def _suite_algebra(opts: dict) -> list[dict]:
     rng = np.random.default_rng(int(opts["seed"]))
     states = [_random_interior_state(rng, cutoff, 3) for _ in range(3)]
 
-    def comm_residual(s1, s2, expected_scalar):
-        worst = 0.0
-        for psi in states:
-            r = s1.apply(s2.apply(psi)).op - s2.apply(s1.apply(psi)).op
-            r -= expected_scalar * psi.op
-            worst = max(worst, float(np.linalg.norm(r)))
-        return worst
-
     pairs = [
         ("commutator_x1_x2", obs.X1, obs.X2, 1j * theta),
         ("commutator_x1_p1", obs.X1, obs.P1, 1j * hbar),
@@ -671,7 +637,8 @@ def _suite_algebra(opts: dict) -> list[dict]:
         ("commutator_x2_p1", obs.X2, obs.P1, 0.0),
         ("commutator_p1_p2", obs.P1, obs.P2, 0.0),
     ]
-    return [_check_row(name, comm_residual(s1, s2, c), 1e-12) for name, s1, s2, c in pairs]
+    return [_check_row(name, _worst(states, lambda p: _commutator(s1, s2, p) - c * p.op), 1e-12)
+            for name, s1, s2, c in pairs]
 
 
 def _suite_continuity(opts: dict) -> list[dict]:
@@ -713,55 +680,26 @@ def _suite_symmetry(opts: dict) -> list[dict]:
     rng = np.random.default_rng(int(opts["seed"]))
     states = [_random_interior_state(rng, cutoff, 6) for _ in range(3)]
 
-    def conj_residual(s, target_sign_op):
+    def conj_residual(s, target):
         """max ||Theta(S(Theta psi)) - target(psi)|| over the sample states."""
-        worst = 0.0
-        for psi in states:
-            lhs = time_reverse(s.apply(time_reverse(psi))).op
-            worst = max(worst, float(np.linalg.norm(lhs - target_sign_op(psi))))
-        return worst
-
-    rows = []
-    rows.append(_check_row(
-        "conjugation_x1_right_mult",
-        conj_residual(obs.X1, lambda p: p.op @ ctx.x1), 1e-10))
-    rows.append(_check_row(
-        "conjugation_x2_right_mult",
-        conj_residual(obs.X2, lambda p: p.op @ ctx.x2), 1e-10))
-    rows.append(_check_row(
-        "conjugation_p1_sign",
-        conj_residual(obs.P1, lambda p: -obs.P1.apply(p).op), 1e-10))
-    rows.append(_check_row(
-        "conjugation_p2_sign",
-        conj_residual(obs.P2, lambda p: -obs.P2.apply(p).op), 1e-10))
-    rows.append(_check_row(
-        "conjugation_lz_sign",
-        conj_residual(lz, lambda p: -lz.apply(p).op), 1e-10))
-
-    worst = max(
-        float(np.linalg.norm(lz.apply(h.apply(psi)).op - h.apply(lz.apply(psi)).op))
-        for psi in states
-    )
-    rows.append(_check_row("lz_oscillator_commute", worst, 1e-10))
+        return _worst(states, lambda p: time_reverse(s.apply(time_reverse(p))).op - target(p))
 
     hbar = params.hbar
-    worst = max(
-        float(np.linalg.norm(
-            lz.apply(a1d.apply(psi)).op - a1d.apply(lz.apply(psi)).op + hbar * a1d.apply(psi).op))
-        for psi in states
-    )
-    rows.append(_check_row("lz_ladder_one_lowers", worst, 1e-10))
-    worst = max(
-        float(np.linalg.norm(
-            lz.apply(a2d.apply(psi)).op - a2d.apply(lz.apply(psi)).op - hbar * a2d.apply(psi).op))
-        for psi in states
-    )
-    rows.append(_check_row("lz_ladder_two_raises", worst, 1e-10))
-
-    worst = 0.0
-    for s, t in ((a1, a2), (a2, a1), (a1d, a2d), (a2d, a1d)):
-        worst = max(worst, conj_residual(s, lambda p, t=t: -t.apply(p).op))
-    rows.append(_check_row("conjugation_exchanges_ladders", worst, 1e-10))
+    rows = [
+        _check_row("conjugation_x1_right_mult", conj_residual(obs.X1, lambda p: p.op @ ctx.x1), 1e-10),
+        _check_row("conjugation_x2_right_mult", conj_residual(obs.X2, lambda p: p.op @ ctx.x2), 1e-10),
+        _check_row("conjugation_p1_sign", conj_residual(obs.P1, lambda p: -obs.P1.apply(p).op), 1e-10),
+        _check_row("conjugation_p2_sign", conj_residual(obs.P2, lambda p: -obs.P2.apply(p).op), 1e-10),
+        _check_row("conjugation_lz_sign", conj_residual(lz, lambda p: -lz.apply(p).op), 1e-10),
+        _check_row("lz_oscillator_commute", _worst(states, lambda p: _commutator(lz, h, p)), 1e-10),
+        _check_row("lz_ladder_one_lowers", _worst(
+            states, lambda p: _commutator(lz, a1d, p) + hbar * a1d.apply(p).op), 1e-10),
+        _check_row("lz_ladder_two_raises", _worst(
+            states, lambda p: _commutator(lz, a2d, p) - hbar * a2d.apply(p).op), 1e-10),
+        _check_row("conjugation_exchanges_ladders", max(
+            conj_residual(s, lambda p: -t.apply(p).op)
+            for s, t in ((a1, a2), (a2, a1), (a1d, a2d), (a2d, a1d))), 1e-10),
+    ]
 
     phi = 0.7
     rotated = rotate(QuantumState(ctx.x1), phi).op
@@ -863,14 +801,11 @@ def _suite_oscillator_oracle(opts: dict) -> list[dict]:
 
     result = solve_spectrum(h, min(cutoff * cutoff, 40))
     keep = [i for i, bw in enumerate(result.boundary_weights) if bw < _BOUNDARY_WEIGHT_MAX][:8]
-    want = {0: energy(params, 0, 0), 1: energy(params, 0, 1), -1: energy(params, 1, 0)}
-    found: dict[int, float] = {}
-    for i in keep:
-        tower = round(float(result.lz_expectations[i]) / hbar)
-        if tower in want and tower not in found:
-            found[tower] = float(result.eigenvalues[i])
-    if set(found) == set(want):
-        worst = max(abs(found[t] - want[t]) / want[t] for t in want)
+    lowest: dict[int, dict] = {}
+    for level in _pair_levels_by_tower(result, keep, params):
+        lowest.setdefault(round(level["lz"] / hbar), level)
+    if all(t in lowest for t in (0, 1, -1)):
+        worst = max(abs(lowest[t]["delta"]) / lowest[t]["analytic_energy"] for t in (0, 1, -1))
     else:
         worst = math.inf
     row = _check_row("eigensolve_tower_envelope", worst, 0.1)
@@ -917,57 +852,57 @@ def _run_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--theta", type=float, help="non-commutativity scale (default 0.1)")
-    common.add_argument("--hbar", type=float, help="Planck constant (default 1)")
-    common.add_argument("--mass", type=float, help="particle mass (default 1)")
-    common.add_argument("--omega", type=float, help="oscillator frequency (default 1)")
-    common.add_argument("--cutoff", type=int, help="Fock-space truncation level")
-    common.add_argument("--seed", type=int, help="seed for sampled states (default 0)")
-    common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), help="output format")
-    common.add_argument("--config", metavar="FILE", help="JSON config file (schema 1); flags win")
+_COMMANDS = {  # each subcommand's runner and help
+    "spectrum": (_run_spectrum, "energy levels with angular momentum and analytic comparison"),
+    "probability": (_run_probability, "position density on a grid, CSV plus JSON sidecar"),
+    "evolve": (_run_evolve, "evolve a state and report conservation diagnostics"),
+    "check": (_run_check, "run an invariant suite"),
+}
+_ALL = tuple(_COMMANDS)
 
+# Every flag once: the commands that take it, its default (None: the command or
+# the state picks one) and its argparse keywords.  The parser, each command's
+# defaults, the config keys (all but config itself) and the type of each config
+# value come from here.
+_FLAGS = {
+    "theta": (_ALL, 0.1, {"type": float, "help": "non-commutativity scale"}),
+    "hbar": (_ALL, 1.0, {"type": float, "help": "Planck constant"}),
+    "mass": (_ALL, 1.0, {"type": float, "help": "particle mass"}),
+    "omega": (_ALL, 1.0, {"type": float, "help": "oscillator frequency"}),
+    "cutoff": (_ALL, None, {"type": int, "help": "Fock-space truncation level"}),
+    "seed": (_ALL, 0, {"type": int, "help": "seed for sampled states"}),
+    "out": (_ALL, None, {"help": "output file (default stdout)"}),
+    "format": (_ALL, None, {"choices": ("json", "csv"), "help": "output format"}),
+    "config": (_ALL, None, {"metavar": "FILE", "help": "JSON config file (schema 1); flags win"}),
+    "system": (("spectrum", "evolve"), "oscillator",
+               {"choices": ("oscillator", "free"), "help": "the Hamiltonian"}),
+    "levels": (("spectrum",), 10, {"type": int, "help": "number of levels to report"}),
+    "kappa": (("spectrum", "evolve"), None, {"help": "plane-wave parameter for --system free (complex)"}),
+    "state": (("probability", "evolve"), "ground",
+              {"help": "ground | excited:N1,N2 | coherent:Z | plane:KAPPA | file:PATH"}),
+    "extent": (("probability",), None, {"type": float, "help": "grid half-width (default fits the state)"}),
+    "points": (("probability",), 61, {"type": int, "help": "grid points per axis"}),
+    "time": (("evolve",), 10.0, {"type": float, "help": "evolution time"}),
+    "suite": (("check",), None, {"help": "|".join(sorted(_SUITES))}),
+}
+
+_CONFIG_KEYS = {"schema", *_FLAGS} - {"config"}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncqm",
         description="Quantum mechanics on the non-commutative plane: spectra, "
                     "position densities, evolution reports, and invariant checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", parents=[common],
-                        help="energy levels with angular momentum and analytic comparison")
-    sp.add_argument("--system", choices=("oscillator", "free"))
-    sp.add_argument("--levels", type=int, help="number of levels to report (default 10)")
-    sp.add_argument("--kappa", help="plane-wave parameter for --system free (complex)")
-
-    pp = sub.add_parser("probability", parents=[common],
-                        help="position density on a grid, CSV plus JSON sidecar")
-    pp.add_argument("--state",
-                    help="ground | excited:N1,N2 | coherent:Z | plane:KAPPA | file:PATH")
-    pp.add_argument("--extent", type=float, help="grid half-width (default fits the state)")
-    pp.add_argument("--points", type=int, help="grid points per axis (default 61)")
-
-    ep = sub.add_parser("evolve", parents=[common],
-                        help="evolve a state and report conservation diagnostics")
-    ep.add_argument("--system", choices=("oscillator", "free"))
-    ep.add_argument("--state",
-                    help="ground | excited:N1,N2 | coherent:Z | plane:KAPPA | file:PATH")
-    ep.add_argument("--time", type=float, help="evolution time (default 10)")
-    ep.add_argument("--kappa", help="shorthand: free-system plane-wave parameter")
-
-    cp = sub.add_parser("check", parents=[common], help="run an invariant suite")
-    cp.add_argument("--suite", help="|".join(sorted(_SUITES)))
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, (commands, default, kwargs) in _FLAGS.items():
+            if command in commands:
+                shown = "" if default is None else f" (default {default})"
+                sp.add_argument(f"--{key}", **{**kwargs, "help": kwargs["help"] + shown})
     return parser
-
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "probability": _run_probability,
-    "evolve": _run_evolve,
-    "check": _run_check,
-}
 
 
 def main(argv=None) -> int:
@@ -992,7 +927,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
 
     try:
-        return _RUNNERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigurationError, UsageError, ValidationError, DegenerateOscillatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,12 +4,11 @@ The configuration space is the boson Fock space carrying [x1, x2] = i*theta,
 truncated to the lowest N levels.  Physical states are N x N complex matrices
 (Hilbert-Schmidt operators on configuration space) with inner product
 tr(phi^dag psi).  Observables act on states as superoperators held in term-list
-form, psi -> sum_t L_t psi R_t, materialized to an N^2 x N^2 matrix on demand.
+form, psi -> sum_t L_t psi R_t; the N^2 x N^2 matrix is built only as a test oracle.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,13 +227,13 @@ def unvec(v: np.ndarray, cutoff: int) -> np.ndarray:
 class SuperOperator:
     """A linear map on quantum states stored as terms psi -> sum_t L_t psi R_t.
 
-    Application is matrix-free; `matrix` materializes sum_t kron(L_t, R_t^T)
-    under the vec convention above and caches it (lock-guarded, so concurrent
-    readers see one consistent array).  Operators compose with @, add with +,
-    and scale with * (a real scalar keeps the Hermitian flag).
+    Application is matrix-free.  `matrix` builds sum_t kron(L_t, R_t^T) under
+    the vec convention above on every read, as an oracle for tests; no library
+    path reads it.  Operators compose with @, add with +, and scale with * (a
+    real scalar keeps the Hermitian flag).
     """
 
-    __slots__ = ("terms", "hermitian_on_Hq", "_matrix", "_lock")
+    __slots__ = ("terms", "hermitian_on_Hq")
 
     def __init__(self, terms, hermitian_on_Hq: bool = False):
         terms = [(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)) for left, right in terms]
@@ -246,8 +245,6 @@ class SuperOperator:
                 raise UsageError("all terms must be square matrices of one common cutoff")
         self.terms = tuple((_readonly(left), _readonly(right)) for left, right in terms)
         self.hermitian_on_Hq = bool(hermitian_on_Hq)
-        self._matrix = None
-        self._lock = threading.Lock()
 
     @property
     def cutoff(self) -> int:
@@ -268,21 +265,18 @@ class SuperOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        with self._lock:
-            if self._matrix is None:
-                n = self.cutoff
-                mat = np.zeros((n * n, n * n), dtype=complex)
-                for left, right in self.terms:
-                    mat += np.kron(left, right.T)
-                if self.hermitian_on_Hq:
-                    defect = np.max(np.abs(mat - mat.conj().T))
-                    scale = max(1.0, np.max(np.abs(mat)))
-                    if defect > 1e-12 * scale:
-                        raise ConsistencyError(
-                            f"operator flagged Hermitian has defect {defect:.3e} (scale {scale:.3e})"
-                        )
-                self._matrix = _readonly(mat)
-            return self._matrix
+        n = self.cutoff
+        mat = np.zeros((n * n, n * n), dtype=complex)
+        for left, right in self.terms:
+            mat += np.kron(left, right.T)
+        if self.hermitian_on_Hq:
+            defect = np.max(np.abs(mat - mat.conj().T))
+            scale = max(1.0, np.max(np.abs(mat)))
+            if defect > 1e-12 * scale:
+                raise ConsistencyError(
+                    f"operator flagged Hermitian has defect {defect:.3e} (scale {scale:.3e})"
+                )
+        return mat
 
     def dagger(self) -> "SuperOperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product: terms (L^dag, R^dag)."""

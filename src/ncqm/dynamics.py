@@ -13,6 +13,7 @@ every state, boundary-supported ones included.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class Hamiltonian(SuperOperator):
     v_matrix must be the potential the terms carry: it fixes the classes of _class_blocks.
     """
 
-    __slots__ = ("ctx", "spec", "v_matrix", "_eig")
+    __slots__ = ("ctx", "spec", "v_matrix", "_eig", "_lock")
 
     def __init__(self, terms, ctx: FockContext, spec: HamiltonianSpec, v_matrix: np.ndarray):
         super().__init__(terms, hermitian_on_Hq=True)
@@ -91,6 +92,7 @@ class Hamiltonian(SuperOperator):
         self.spec = spec
         self.v_matrix = v_matrix
         self._eig = None
+        self._lock = threading.Lock()
 
 
 def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:

@@ -28,6 +28,7 @@ formed explicitly and cutoffs of several hundred levels stay finite.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -104,38 +105,6 @@ def coherent_tail(cutoff: int, z: complex, level: int) -> float:
         term *= k / mu
         lower += term
     return 1.0 - lower
-
-
-def _coherent_tails(level: int, mu: np.ndarray) -> np.ndarray:
-    """coherent_tail for an array of mu = |z|^2, by the same two sums.
-
-    The lower sum is built only for the points with mu > level.
-    """
-    if level <= 0:
-        return np.ones(mu.shape)
-    out = np.zeros(mu.shape)
-    upper = (mu > 0.0) & (mu <= level)
-    m = mu[upper]
-    term = np.exp(level * np.log(m) - m - math.lgamma(level + 1))
-    total = term.copy()
-    k = level
-    while np.any(term > 1e-17 * total):
-        k += 1
-        term *= m / k
-        total += term
-    out[upper] = total
-
-    above = mu > level
-    m = mu[above]
-    term = np.exp((level - 1) * np.log(m) - m - math.lgamma(level))
-    lower = term.copy()
-    for k in range(level - 1, 0, -1):
-        if not np.any(term > 1e-17 * lower):
-            break
-        term *= k / m
-        lower += term
-    out[above] = 1.0 - lower
-    return out
 
 
 def coherent_state_op(ctx: FockContext, z: complex) -> QuantumState:
@@ -228,13 +197,16 @@ def _chain_densities(psi_op: np.ndarray, zs: np.ndarray, max_terms: int) -> np.n
     cancel, and once a value cancels down to the floor it is pure noise whose
     square would fabricate density in empty regions.  Stops after three
     consecutive negligible terms per point; raises ConvergenceError at the
-    term cap.
+    term cap.  At z = 0 term k is exactly |psi_0k|^2, so there the rule waits
+    for the last nonzero entry of row 0: leading zero terms are not convergence.
     """
     n = psi_op.shape[0]
     npts = len(zs)
-    gb = _coherent_basis(zs, n)
+    ga = _coherent_basis(zs, n + max_terms)  # wide enough for the table's last row count
+    gb = ga[:, :n]
     abs_gb = np.abs(gb)
-    ga = _coherent_basis(zs, n)  # grows along with the table's first axis
+    row0 = np.flatnonzero(psi_op[0])
+    last = np.where(zs == 0, row0[-1] if row0.size else 0, 0)
 
     table = np.array(psi_op, dtype=complex)
     total = np.zeros(npts)
@@ -242,9 +214,6 @@ def _chain_densities(psi_op: np.ndarray, zs: np.ndarray, max_terms: int) -> np.n
 
     for k in range(max_terms + 1):
         a_dim = table.shape[0]
-        if ga.shape[1] < a_dim:
-            new = ga[:, a_dim - 2] * zs / math.sqrt(a_dim - 1)
-            ga = np.concatenate([ga, new[:, None]], axis=1)
         m = ga[:, :a_dim].conj() @ table
         val = np.einsum("pb,pb->p", m, gb)
         term = np.abs(val) ** 2
@@ -257,11 +226,11 @@ def _chain_densities(psi_op: np.ndarray, zs: np.ndarray, max_terms: int) -> np.n
         total += np.where(term > floor, term, 0.0)
         negligible = term <= np.maximum(1e-14 * total, floor)
         below = np.where(negligible, below + 1, 0)
-        if np.all(below >= 3):
+        if np.all((below >= 3) & (k >= last)):
             return total
         table = _deriv_z_table(table) / math.sqrt(k + 1)
 
-    stuck = int(np.sum(below < 3))
+    stuck = int(np.sum((below < 3) | (k < last)))
     raise ConvergenceError(
         f"density series hit the {max_terms}-term cap with {stuck} of {npts} points "
         f"unconverged (last max term {float(np.max(term)):.3e}); the points likely sit "
@@ -396,9 +365,12 @@ def probability_grid(ctx: FockContext, psi: QuantumState, grid: GridSpec) -> Pro
     worst = zs[np.argmax(radii)]
     msg = _warn_if_unsafe(ctx.cutoff, worst)
     if msg is not None:
-        # same criterion as the trigger: coherent tail above level N-3
-        tails = _coherent_tails(ctx.cutoff - 3, radii**2)
-        unsafe = int(np.sum(tails >= 1e-8))
+        # the largest radius fails the check and the tail grows with |z|, so
+        # bisect the distinct radii for the smallest one that fails
+        distinct = np.unique(radii)
+        first = bisect.bisect_left(distinct, True, hi=len(distinct) - 1,
+                                   key=lambda r: _warn_if_unsafe(ctx.cutoff, r) is not None)
+        unsafe = int(np.sum(radii >= distinct[first]))
         notes.append(f"{unsafe} of {len(zs)} grid points truncation-unsafe; worst: {msg}")
 
     total = _densities(np.asarray(psi.op), zs)

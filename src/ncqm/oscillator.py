@@ -292,8 +292,11 @@ def excited_state(ctx: FockContext, n1: int, n2: int, tail_tol: float = 1e-3) ->
     levels that are still exact.  Each further application moves that band in
     by one level, so after n1 + n2 applications it starts at level N, outside
     the kept N x N block.  That block is therefore the exact untruncated
-    result up to a scale, and it is projected out and renormalized.  The
-    tail check is ground_state's at cutoff N, including its cutoff advice.
+    result up to a scale, and it is projected out and renormalized.  Each
+    ladder shifts m - l by exactly one, so the exact state lies on the
+    diagonal m - l = n1 - n2; entries off it are cancellation roundoff of the
+    x1 and x2 products and are zeroed.  The tail check is ground_state's at
+    cutoff N, including its cutoff advice.
     """
     if n1 < 0 or n2 < 0 or int(n1) != n1 or int(n2) != n2:
         raise UsageError(f"quantum numbers must be non-negative integers, got ({n1}, {n2})")
@@ -315,4 +318,5 @@ def excited_state(ctx: FockContext, n1: int, n2: int, tail_tol: float = 1e-3) ->
         state = a1d.apply(state)
     for _ in range(n2):
         state = a2d.apply(state)
-    return QuantumState(state.op[:n, :n]).normalized()
+    d = n2 - n1  # numpy's diagonal offset l - m
+    return QuantumState(np.diag(np.diag(state.op[:n, :n], d), d)).normalized()

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncqm import cli
 from ncqm.cli import main
 
 THETA = 0.1
@@ -216,6 +217,34 @@ def test_config_file_feeds_defaults_flags_win(capsys, tmp_path):
     lines = out.strip().split("\n")
     assert "theta=0.0" in lines[0]  # explicit flag beats the config value
     assert len(lines) == 2 + 3  # header + columns + config-supplied level count
+
+
+# a cheap run of each command, and one value per numeric flag; the flag list is the CLI's own table
+_CHEAP = {
+    "spectrum": {"cutoff": "12", "levels": "3"},
+    "probability": {"state": "coherent:0.3", "cutoff": "20", "points": "7"},
+    "evolve": {"state": "coherent:0.3", "cutoff": "16", "time": "0.5"},
+    "check": {"suite": "algebra", "cutoff": "10"},
+}
+_VALUES = {"theta": 0.2, "hbar": 1.5, "mass": 2, "omega": 1.5, "cutoff": 14, "seed": 3,
+           "levels": 4, "points": 9, "extent": 1.5, "time": 0.25}
+_NUMERIC = [(command, key) for command in cli._COMMANDS for key, (commands, _, kwargs) in cli._FLAGS.items()
+            if command in commands and kwargs.get("type") in (int, float)]
+
+
+@pytest.mark.parametrize("command,key", _NUMERIC, ids=[f"{c}-{k}" for c, k in _NUMERIC])
+def test_config_value_and_flag_give_identical_output(capsys, tmp_path, command, key):
+    base = [a for k, v in _CHEAP[command].items() if k != key for a in (f"--{k}", v)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, key: _VALUES[key]}))
+    outputs = []
+    for extra in (["--config", str(cfg)], [f"--{key}", str(_VALUES[key])]):
+        out = tmp_path / f"out{len(outputs)}"
+        code, stdout, err = run(capsys, [command, *base, *extra, "--out", str(out)])
+        assert code == 0 and stdout == "", err
+        sidecar = Path(f"{out}.meta.json")
+        outputs.append((out.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):

@@ -42,7 +42,7 @@ from ncqm import (
     vec,
 )
 from ncqm import measurement
-from ncqm.measurement import _BLOCK, _coherent_tails, _projector_densities
+from ncqm.measurement import _BLOCK, _projector_densities
 from conftest import full_state, interior_state
 
 THETA = 0.1
@@ -96,11 +96,6 @@ def test_coherent_tail_matches_mpmath_on_both_branches(level):
                 assert abs(got - want) <= 1e-12 * want, (mu, got, want)
             else:
                 assert got < 1e-280, (mu, got, want)
-    # the grid path sums the same series over an array of points
-    grid = _coherent_tails(level, np.array(mus))
-    for mu, tail in zip(mus, grid):
-        assert tail == pytest.approx(coherent_tail(level + 3, math.sqrt(mu), level),
-                                     rel=1e-13, abs=1e-300)
 
 
 def test_coherent_state_op_is_normalized_rank_one(ctx16):
@@ -349,7 +344,7 @@ def test_grid_flags_unsafe_points():
 
 
 def test_grid_counts_the_points_coherent_tail_flags():
-    # the grid's vectorized tail gives the same verdict as coherent_tail at every point
+    # the grid's bisected count gives the same verdict as coherent_tail at every point
     ctx = build_fock(ModelParams(theta=THETA, cutoff=30))
     grid = GridSpec((-2.0, 2.5), (-1.5, 2.0), (31, 29))
     res = probability_grid(ctx, ground_state(ctx), grid)
@@ -357,6 +352,20 @@ def test_grid_counts_the_points_coherent_tail_flags():
     unsafe = sum(coherent_tail(30, z, 27) >= 1e-8 for z in zs)
     assert 0 < unsafe < len(zs)
     assert res.warnings[0].startswith(f"{unsafe} of {len(zs)} grid points truncation-unsafe")
+
+
+def test_grid_bisected_count_matches_every_distinct_radius():
+    # a 201 x 201 window that the unsafe radius cuts: 38502 distinct radii, 16 bisection steps
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=30))
+    grid = GridSpec((-2.0, 2.5), (-1.5, 2.0), (201, 201))
+    radii = np.abs(_grid_points(grid))
+    distinct = np.unique(radii)
+    unsafe_radii = [r for r in distinct if coherent_tail(30, r, 27) >= 1e-8]
+    unsafe = int(np.sum(radii >= unsafe_radii[0]))
+    assert 0 < len(unsafe_radii) < len(distinct)
+    assert unsafe_radii == list(distinct[len(distinct) - len(unsafe_radii):])  # the tail grows with |z|
+    res = probability_grid(ctx, ground_state(ctx), grid)
+    assert res.warnings[0].startswith(f"{unsafe} of {201 * 201} grid points truncation-unsafe")
 
 
 # ---------------------------------------------------------------- radial route
@@ -380,14 +389,6 @@ def _diagonal_state(rng, n, d):
     return QuantumState(op).normalized()
 
 
-def _on_diagonal(psi, d):
-    # excited states with n1, n2 > 0 carry ~1e-17 roundoff off their diagonal d = n1 - n2
-    op = np.array(psi.op)
-    m, l = np.indices(op.shape)
-    op[m - l != d] = 0.0
-    return QuantumState(op)
-
-
 def _grid_points(grid):
     x1, x2 = grid.axes()
     return ((x1[:, None] + 1j * x2[None, :]) / math.sqrt(2.0 * THETA)).reshape(-1)
@@ -396,10 +397,8 @@ def _grid_points(grid):
 def _radial_cases():
     ctx80 = build_fock(ModelParams(theta=THETA, cutoff=80))
     rng = np.random.default_rng(21)
-    cases = [(ctx80, _on_diagonal(excited_state(ctx80, *q), q[0] - q[1]), excited_state(ctx80, *q))
-             for q in ((1, 0), (2, 1), (1, 3), (0, 4))]
-    cases += [(ctx80, psi, psi) for psi in (_diagonal_state(rng, 80, 2), _diagonal_state(rng, 80, -3))]
-    return cases
+    states = [excited_state(ctx80, *q) for q in ((1, 0), (2, 1), (1, 3), (0, 4))]
+    return [(ctx80, psi) for psi in (*states, _diagonal_state(rng, 80, 2), _diagonal_state(rng, 80, -3))]
 
 
 def test_radial_grid_matches_projector(monkeypatch):
@@ -408,26 +407,53 @@ def test_radial_grid_matches_projector(monkeypatch):
     s = THETA * lambdas(params)[1] / params.hbar**2
     ext = 4.5 * math.sqrt(THETA / (s * (2.0 - s)))
     ctx = build_fock(params)
-    cases = [(ctx, ground_state(ctx), ground_state(ctx), GridSpec((-ext, ext), (-ext, ext)))]
+    cases = [(ctx, ground_state(ctx), GridSpec((-ext, ext), (-ext, ext)))]
     cases += [(*case, GridSpec((-1.5, 1.5), (-1.2, 1.8), (41, 37))) for case in _radial_cases()]
     taken = _routes(monkeypatch)
-    for ctx, psi, original, grid in cases:
+    for ctx, psi, grid in cases:
         taken.clear()
         got = probability_grid(ctx, psi, grid).values
         assert taken == ["_radial_densities"]
-        want = _projector_densities(np.asarray(original.op), _grid_points(grid)).reshape(got.shape)
+        want = _projector_densities(np.asarray(psi.op), _grid_points(grid)).reshape(got.shape)
         want /= 2.0 * math.pi * THETA
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
 
 
 def test_radial_density_matches_series(monkeypatch):
     taken = _routes(monkeypatch)
-    for ctx, psi, _ in _radial_cases():
-        # not z = 0: there the series stops after three zero terms for d <= -3
-        for z in (0.05 + 0.02j, 0.4 - 0.3j, 1.1j, -1.5 + 0.5j, 2.2 + 1.0j):
+    for ctx, psi in _radial_cases():
+        for z in (0.0, 0.05 + 0.02j, 0.4 - 0.3j, 1.1j, -1.5 + 0.5j, 2.2 + 1.0j):
             got = position_probability(ctx, psi, z)
             assert got == pytest.approx(density_series(ctx, psi, z), rel=1e-10)
     assert set(taken) == {"_radial_densities"}
+
+
+@pytest.mark.parametrize("cutoff", [30, 80])
+def test_excited_states_lie_on_one_diagonal_and_take_the_radial_route(monkeypatch, cutoff):
+    # the ladders' roundoff off d = n1 - n2 (up to 4e-16 at N=30) is zeroed, so the route is radial
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=cutoff))
+    taken = _routes(monkeypatch)
+    for n1, n2 in ((1, 3), (2, 2), (3, 1), (3, 3)):
+        op = np.asarray(excited_state(ctx, n1, n2).op)
+        m, l = np.indices(op.shape)
+        assert np.all(op[m - l != n1 - n2] == 0.0) and np.any(op[m - l == n1 - n2] != 0.0)
+        taken.clear()
+        position_probability(ctx, QuantumState(op), 0.3 - 0.1j)
+        assert taken == ["_radial_densities"]
+
+
+def test_density_series_at_origin_sums_row_zero(ctx16):
+    # at z = 0 term k is |psi_0k|^2: leading zero terms must not stop the series
+    rng = np.random.default_rng(23)
+    for psi in (unit_matrix_state(16, 0, 3), _diagonal_state(rng, 16, -3)):
+        want = position_probability(ctx16, psi, 0.0)
+        assert want > 0.0
+        assert density_series(ctx16, psi, 0.0) == pytest.approx(want, rel=1e-10)
+    assert density_series(ctx16, unit_matrix_state(16, 0, 3), 0.0) == pytest.approx(
+        1.0 / (2.0 * math.pi * THETA), rel=1e-12)
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=344))
+    assert density_series(ctx, ground_state(ctx), 0.0) == pytest.approx(
+        position_probability(ctx, ground_state(ctx), 0.0), rel=1e-10)
 
 
 def test_radial_route_needs_exact_zeros(monkeypatch, ctx16):
