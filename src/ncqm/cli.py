@@ -75,9 +75,11 @@ __all__ = ["main"]
 
 _BOUNDARY_WEIGHT_MAX = 0.05  # spectra: levels above this are truncation artifacts
 # input caps, checked before anything is built: the theta = 0 enumeration makes
-# O(levels) rows, and a grid holds points^2 values and an N x points^2 product
+# O(levels) rows, a grid holds points^2 values and an N x points^2 product, and
+# the povm suite's dense POVM matrices hold N^4 entries (7 s and 364 MB at N = 48)
 _LEVELS_MAX = 10000
 _POINTS_MAX = 1001
+_POVM_CUTOFF_MAX = 48
 
 
 # ---------------------------------------------------------------- plumbing
@@ -115,12 +117,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _config_value(key: str, value):
-    """A config value for a numeric flag, converted to the flag's type.
+    """A config value checked as its flag's: converted to the flag's type, or one of its choices.
 
-    A value that does not convert, or a non-integral number for an integer
-    key, is a UsageError that names the key.
+    A value that does not convert, a non-integral number for an integer key,
+    or a value outside the choices is a UsageError that names the key.
     """
-    kind = _FLAGS[key][2].get("type")
+    kwargs = _FLAGS[key][2]
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise UsageError(f"config key {key!r} must be one of {'|'.join(choices)}, got {value!r}")
+    kind = kwargs.get("type")
     if kind is None:
         return value
     try:
@@ -179,28 +185,6 @@ def _finite(opts: dict, key: str) -> float:
     if not math.isfinite(value):
         raise UsageError(f"--{key} must be a finite number, got {value}")
     return value
-
-
-def _require_format(opts: dict, allowed: tuple[str, ...], command: str) -> str:
-    fmt = opts["format"] or allowed[0]
-    if fmt not in allowed:
-        raise UsageError(f"{command} supports --format {'|'.join(allowed)}, got {fmt!r}")
-    return fmt
-
-
-def _need_positive_theta(opts: dict, why: str) -> float:
-    theta = float(opts["theta"])
-    if theta <= 0.0:
-        raise ConfigurationError(f"{why} needs theta > 0 (the operator realization "
-                                 "of the plane degenerates in the commutative limit)")
-    return theta
-
-
-def _need_positive_omega(opts: dict) -> float:
-    omega = float(opts["omega"])
-    if omega <= 0.0:
-        raise ConfigurationError("the oscillator system needs omega > 0")
-    return omega
 
 
 # ---------------------------------------------------------------- states
@@ -284,9 +268,13 @@ def _auto_cutoff(extent: float, theta: float) -> int:
 def _build_state(kind: str, detail, opts: dict):
     """Resolve cutoff, build the context and the selected normalized state.
 
-    Returns (ctx, psi, extent, notes).
+    Returns (ctx, psi, extent, notes).  theta > 0 is checked here, not left
+    to build_fock, because the default extent and cutoff divide by it first.
     """
-    theta = _need_positive_theta(opts, "state construction")
+    theta = float(opts["theta"])
+    if theta <= 0.0:
+        raise ConfigurationError("state construction needs theta > 0 (the operator realization "
+                                 "of the plane degenerates in the commutative limit)")
     explicit_cutoff = None if opts["cutoff"] is None else int(opts["cutoff"])
     notes: list[str] = []
 
@@ -312,8 +300,6 @@ def _build_state(kind: str, detail, opts: dict):
                      "reflects the window, not unity")
         return ctx, psi.normalized(), float(extent), notes
 
-    if kind in ("ground", "excited"):
-        _need_positive_omega(opts)
     extent = opts.get("extent") or _default_extent(kind, detail, opts, explicit_cutoff)
     cutoff = explicit_cutoff if explicit_cutoff is not None else _auto_cutoff(float(extent), theta)
     ctx = build_fock(_params(opts, cutoff))
@@ -393,7 +379,6 @@ def _pair_levels_by_tower(result, kept: list[int], params: ModelParams) -> list[
 
 
 def _spectrum_oscillator(opts: dict) -> dict:
-    _need_positive_omega(opts)
     levels = int(opts["levels"])
     if levels < 1:
         raise UsageError(f"--levels must be positive, got {levels}")
@@ -439,7 +424,6 @@ def _spectrum_oscillator(opts: dict) -> dict:
 
 
 def _spectrum_free(opts: dict) -> dict:
-    _need_positive_theta(opts, "the free particle")
     if opts["kappa"] is None:
         raise UsageError("--system free needs --kappa")
     kappa = _as_complex(opts["kappa"], "kappa")
@@ -486,16 +470,9 @@ def _spectrum_csv(report: dict) -> str:
 
 def _run_spectrum(args: argparse.Namespace) -> int:
     opts = _resolve(args, "spectrum")
-    fmt = _require_format(opts, ("json", "csv"), "spectrum")
-    system = str(opts["system"])
-    if system == "oscillator":
-        report = _spectrum_oscillator(opts)
-    elif system == "free":
-        report = _spectrum_free(opts)
-    else:
-        raise UsageError(f"unknown system {system!r}; use oscillator or free")
+    report = _spectrum_oscillator(opts) if opts["system"] == "oscillator" else _spectrum_free(opts)
     report = {"schema": 1, "command": "spectrum", "seed": int(opts["seed"]), **report}
-    if fmt == "csv":
+    if opts["format"] == "csv":
         _emit(_spectrum_csv(report), opts["out"])
     else:
         _emit(_json_text(report), opts["out"])
@@ -506,7 +483,6 @@ def _run_spectrum(args: argparse.Namespace) -> int:
 
 def _run_probability(args: argparse.Namespace) -> int:
     opts = _resolve(args, "probability")
-    _require_format(opts, ("csv",), "probability")
     if opts["out"] is None:
         raise UsageError("probability writes a CSV grid plus a JSON sidecar; pass --out PATH")
     points = int(opts["points"])
@@ -555,7 +531,6 @@ def _run_probability(args: argparse.Namespace) -> int:
 
 def _run_evolve(args: argparse.Namespace) -> int:
     opts = _resolve(args, "evolve")
-    _require_format(opts, ("json",), "evolve")
     t = _finite(opts, "time")
     system = str(opts["system"])
     state_raw = str(opts["state"])
@@ -565,14 +540,7 @@ def _run_evolve(args: argparse.Namespace) -> int:
     if opts["cutoff"] is None and kind not in ("plane", "file"):
         opts = {**opts, "cutoff": 30}
     ctx, psi0, _, notes = _build_state(kind, detail, opts)
-
-    if system == "oscillator":
-        _need_positive_omega(opts)
-        h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
-    elif system == "free":
-        h = hamiltonian(ctx, HamiltonianSpec("free"))
-    else:
-        raise UsageError(f"unknown system {system!r}; use oscillator or free")
+    h = hamiltonian(ctx, HamiltonianSpec(system))
 
     with np.errstate(over="ignore", invalid="ignore"):
         psi_t = evolve(psi0, h, t)  # a phase w t that overflows gives NaN, which _json_text refuses
@@ -670,7 +638,6 @@ def _suite_continuity(opts: dict) -> list[dict]:
 def _suite_symmetry(opts: dict) -> list[dict]:
     """Anti-unitary conjugation, rotations, and angular-momentum relations."""
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 16
-    _need_positive_omega(opts)
     ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
     obs = observables(ctx)
@@ -733,8 +700,11 @@ def _suite_symmetry(opts: dict) -> list[dict]:
 def _suite_povm(opts: dict) -> list[dict]:
     """Positivity, the projector POVM against the derivative series, and the resolution of identity."""
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 24
-    theta = _need_positive_theta(opts, "the position measure")
+    if cutoff > _POVM_CUTOFF_MAX:
+        raise UsageError(f"check --suite povm --cutoff is capped at {_POVM_CUTOFF_MAX} "
+                         f"(its POVM matrices hold N^4 entries), got {cutoff}")
     ctx = build_fock(_params(opts, cutoff))
+    theta = ctx.params.theta
     rng = np.random.default_rng(int(opts["seed"]))
 
     pi = povm_matrix(ctx, 0.7 + 0.2j)
@@ -761,8 +731,6 @@ def _suite_povm(opts: dict) -> list[dict]:
 def _suite_oscillator_oracle(opts: dict) -> list[dict]:
     """Closed-form oscillator layer against itself, its excited states and the spectrum."""
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 30
-    _need_positive_theta(opts, "the oscillator realization")
-    _need_positive_omega(opts)
     ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
     hbar, m, w, theta = params.hbar, params.mass, params.omega, params.theta
@@ -828,7 +796,6 @@ _SUITES = {
 
 def _run_check(args: argparse.Namespace) -> int:
     opts = _resolve(args, "check")
-    _require_format(opts, ("json",), "check")
     suite = opts["suite"]
     if suite is None:
         raise UsageError("check needs --suite "
@@ -872,7 +839,7 @@ _FLAGS = {
     "cutoff": (_ALL, None, {"type": int, "help": "Fock-space truncation level"}),
     "seed": (_ALL, 0, {"type": int, "help": "seed for sampled states"}),
     "out": (_ALL, None, {"help": "output file (default stdout)"}),
-    "format": (_ALL, None, {"choices": ("json", "csv"), "help": "output format"}),
+    "format": (("spectrum",), "json", {"choices": ("json", "csv"), "help": "output format"}),
     "config": (_ALL, None, {"metavar": "FILE", "help": "JSON config file (schema 1); flags win"}),
     "system": (("spectrum", "evolve"), "oscillator",
                {"choices": ("oscillator", "free"), "help": "the Hamiltonian"}),

@@ -110,6 +110,14 @@ class ModelParams:
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
 
+def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
+    """Raise error unless mat equals its conjugate transpose within 1e-12 of max(1, max |mat|)."""
+    defect = np.max(np.abs(mat - mat.conj().T))
+    scale = max(1.0, np.max(np.abs(mat)))
+    if defect > 1e-12 * scale:
+        raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     # a frozen array is shared, not copied, if it owns its data: a view could change through its base
     if (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.c_contiguous
@@ -270,12 +278,7 @@ class SuperOperator:
         for left, right in self.terms:
             mat += np.kron(left, right.T)
         if self.hermitian_on_Hq:
-            defect = np.max(np.abs(mat - mat.conj().T))
-            scale = max(1.0, np.max(np.abs(mat)))
-            if defect > 1e-12 * scale:
-                raise ConsistencyError(
-                    f"operator flagged Hermitian has defect {defect:.3e} (scale {scale:.3e})"
-                )
+            _require_hermitian(mat, ConsistencyError, "superoperator flagged Hermitian")
         return mat
 
     def dagger(self) -> "SuperOperator":

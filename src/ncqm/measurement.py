@@ -187,57 +187,6 @@ def _coherent_basis(zs: np.ndarray, count: int) -> np.ndarray:
     return np.cumprod(out, axis=1, out=out)
 
 
-def _chain_densities(psi_op: np.ndarray, zs: np.ndarray, max_terms: int) -> np.ndarray:
-    """sum_k (1/k!)|d^k f/dz^k|^2 at each point, with a roundoff-aware stop rule.
-
-    Terms are the scaled derivative chain d_k = D(d_{k-1})/sqrt(k) evaluated in
-    the bounded basis.  A term joins the sum only when it clears the point's
-    roundoff floor, eps times the absolute-value contraction sum |g_a||d||g_b|:
-    the chain coefficients grow combinatorially while the evaluated values
-    cancel, and once a value cancels down to the floor it is pure noise whose
-    square would fabricate density in empty regions.  Stops after three
-    consecutive negligible terms per point; raises ConvergenceError at the
-    term cap.  At z = 0 term k is exactly |psi_0k|^2, so there the rule waits
-    for the last nonzero entry of row 0: leading zero terms are not convergence.
-    """
-    n = psi_op.shape[0]
-    npts = len(zs)
-    ga = _coherent_basis(zs, n + max_terms)  # wide enough for the table's last row count
-    gb = ga[:, :n]
-    abs_gb = np.abs(gb)
-    row0 = np.flatnonzero(psi_op[0])
-    last = np.where(zs == 0, row0[-1] if row0.size else 0, 0)
-
-    table = np.array(psi_op, dtype=complex)
-    total = np.zeros(npts)
-    below = np.zeros(npts, dtype=int)
-
-    for k in range(max_terms + 1):
-        a_dim = table.shape[0]
-        m = ga[:, :a_dim].conj() @ table
-        val = np.einsum("pb,pb->p", m, gb)
-        term = np.abs(val) ** 2
-
-        # per-point roundoff floor of the contraction: the evaluated value is
-        # meaningless once it cancels down to eps times the absolute-value sum
-        abs_m = np.abs(ga[:, :a_dim]) @ np.abs(table)
-        absval = np.einsum("pb,pb->p", abs_m, abs_gb)
-        floor = (16.0 * _EPS * absval) ** 2
-        total += np.where(term > floor, term, 0.0)
-        negligible = term <= np.maximum(1e-14 * total, floor)
-        below = np.where(negligible, below + 1, 0)
-        if np.all((below >= 3) & (k >= last)):
-            return total
-        table = _deriv_z_table(table) / math.sqrt(k + 1)
-
-    stuck = int(np.sum((below < 3) | (k < last)))
-    raise ConvergenceError(
-        f"density series hit the {max_terms}-term cap with {stuck} of {npts} points "
-        f"unconverged (last max term {float(np.max(term)):.3e}); the points likely sit "
-        "far outside the cutoff's safe region"
-    )
-
-
 def _warn_if_unsafe(cutoff: int, z: complex) -> str | None:
     tail = coherent_tail(cutoff, z, cutoff - 3)
     if tail >= 1e-8:
@@ -252,11 +201,38 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
     """Position density at z summed term by term from the paper's derivative series.
 
     The independent oracle for position_probability and povm_matrix: it never
-    forms |z><z|, only the derivative chain of the state's symbol.  Raises
-    ConvergenceError when the series does not settle within max_terms terms.
+    forms |z><z|.  Term k is |f_k(z)|^2 for the symbol chain f_0 = symbol(psi),
+    f_k = deriv_z(f_{k-1}) / sqrt(k), so the terms are |d^k f/dz^k|^2 / k!.
+    A term joins the sum only when it clears the roundoff floor, 16 eps times
+    the absolute-value contraction sum_ab |g_a(z)| |f_k,ab| |g_b(z)| (the same
+    table evaluated at |z|, since |g_a(z)| = g_a(|z|)): the chain coefficients
+    grow combinatorially while the evaluated values cancel, and once a value
+    cancels down to the floor it is noise whose square would fabricate
+    density.  The sum stops after three negligible terms in a row, but not
+    before term k reaches the last nonzero entry of row 0 of psi: at z = 0
+    term k is exactly |psi_0k|^2, and near it the leading terms underflow, so
+    zero terms before then are not convergence.  Raises ConvergenceError when
+    the series does not settle within max_terms terms.
     """
-    total = _chain_densities(np.asarray(psi.op), np.array([complex(z)]), max_terms)
-    return float(total[0] / (2.0 * math.pi * ctx.params.theta))
+    z = complex(z)
+    row0 = np.flatnonzero(psi.op[0])
+    last = row0[-1] if row0.size else 0
+    sym = symbol(psi)
+    total = 0.0
+    below = 0
+    for k in range(max_terms + 1):
+        term = abs(sym(z)) ** 2
+        floor = (16.0 * _EPS * abs(StateSymbol(np.abs(sym.table))(abs(z)))) ** 2
+        if term > floor:
+            total += term
+        below = below + 1 if term <= max(1e-14 * total, floor) else 0
+        if below >= 3 and k >= last:
+            return total / (2.0 * math.pi * ctx.params.theta)
+        sym = StateSymbol(deriv_z(sym).table / math.sqrt(k + 1))
+    raise ConvergenceError(
+        f"density series hit the {max_terms}-term cap at z = {z} unconverged (last term "
+        f"{term:.3e}); the point likely sits far outside the cutoff's safe region"
+    )
 
 
 def _in_blocks(points: np.ndarray, n: int, reduce) -> np.ndarray:

@@ -50,6 +50,8 @@ __all__ = [
     "ground_tail_weight",
 ]
 
+_TAIL_MAX = 1e-3  # ground_state's largest admitted weight on the top retained level
+
 
 def _radical(params: ModelParams) -> float:
     # sqrt(4 hbar^2 + m^2 w^2 theta^2) without overflow
@@ -263,27 +265,27 @@ def _ground_matrix(a: float, n: int) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def ground_state(ctx: FockContext, tail_tol: float = 1e-3) -> QuantumState:
+def ground_state(ctx: FockContext) -> QuantumState:
     """The normalized ground state psi_0 = e^{alpha b^dag b} as a diagonal matrix.
 
-    Raises TruncationError when the top-level weight exceeds tail_tol (default
-    1e-3; at theta = 0.1 this admits cutoffs N >= 28).  The message reports the
-    cutoff that would reach the requested tolerance.
+    Raises TruncationError when the top-level weight exceeds _TAIL_MAX (at
+    theta = 0.1 this admits cutoffs N >= 28).  The message reports the cutoff
+    that would pass.
     """
     a = alpha(ctx.params)
     w = ground_tail_weight(ctx.params)
-    if w > tail_tol:
+    if w > _TAIL_MAX:
         needed = 1
         if a < 0.0:
-            needed = math.ceil(math.log(tail_tol / (1.0 - math.exp(2.0 * a))) / (2.0 * a)) + 1
+            needed = math.ceil(math.log(_TAIL_MAX / (1.0 - math.exp(2.0 * a))) / (2.0 * a)) + 1
         raise TruncationError(
-            f"ground-state tail weight {w:.3e} exceeds {tail_tol:.1e} at cutoff "
+            f"ground-state tail weight {w:.3e} exceeds {_TAIL_MAX:.1e} at cutoff "
             f"{ctx.params.cutoff}; need roughly N >= {needed}"
         )
     return QuantumState(_ground_matrix(a, ctx.params.cutoff))
 
 
-def excited_state(ctx: FockContext, n1: int, n2: int, tail_tol: float = 1e-3) -> QuantumState:
+def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
     """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, built at internal cutoff N' = N + n1 + n2.
 
     The ladders are local.  X1 and X2 multiply by the tridiagonal x1 and x2, and
@@ -300,7 +302,7 @@ def excited_state(ctx: FockContext, n1: int, n2: int, tail_tol: float = 1e-3) ->
     """
     if n1 < 0 or n2 < 0 or int(n1) != n1 or int(n2) != n2:
         raise UsageError(f"quantum numbers must be non-negative integers, got ({n1}, {n2})")
-    psi0 = ground_state(ctx, tail_tol=tail_tol)
+    psi0 = ground_state(ctx)
     if n1 == 0 and n2 == 0:
         return psi0
 

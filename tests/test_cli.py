@@ -43,6 +43,8 @@ def run_json(capsys, argv):
         ["check"],
         ["check", "--suite", "nope"],
         ["evolve", "--omega", "0"],
+        ["evolve", "--state", "coherent:0.5", "--omega", "0"],
+        ["evolve", "--format", "json"],
         ["evolve", "--state", "excited:1"],
         ["evolve", "--state", "nonsense"],
     ],
@@ -55,6 +57,8 @@ def run_json(capsys, argv):
         "check-without-suite",
         "unknown-suite",
         "degenerate-oscillator",
+        "degenerate-oscillator-hamiltonian",
+        "format-is-spectrum-only",
         "malformed-excited",
         "unknown-selector",
     ],
@@ -89,7 +93,9 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     ("evolve", '{"schema": 1, "time": "abc"}', "time"),
     ("spectrum", '{"schema": 1, "theta": "x"}', "theta"),
     ("spectrum", '{"schema": 1, "cutoff": 30.5}', "cutoff"),
-], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff"])
+    ("spectrum", '{"schema": 1, "format": "xml"}', "format"),
+    ("evolve", '{"schema": 1, "system": "bad"}', "system"),
+], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system"])
 def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
@@ -103,7 +109,8 @@ def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, co
      ("_build_state", "probability_grid")),
     (["spectrum", "--theta", "0", "--levels", "10001"], 10000, ("_analytic_levels",)),
     (["spectrum", "--levels", "10001"], 10000, ("build_fock",)),
-], ids=["points", "levels-commutative", "levels"])
+    (["check", "--suite", "povm", "--cutoff", "49"], 48, ("build_fock",)),
+], ids=["points", "levels-commutative", "levels", "povm-cutoff"])
 def test_size_caps_exit_2_before_building_anything(capsys, tmp_path, monkeypatch,
                                                    argv, limit, unreached):
     from ncqm import cli

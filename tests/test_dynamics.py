@@ -62,10 +62,10 @@ def linear_x1_table(coeff):
 
 
 def near_free_table():
-    # 1e-9 (b^2 + bdag^2): g = 2, and the free particle's pairs k, -k (one class) stay
-    # degenerate within 1e-8 of the scale: runs inside one class block need the label rotation
+    # 1e-14 (b^2 + bdag^2): g = 2, and the free particle's pairs k, -k (one class) stay
+    # degenerate within 1e-13 of the scale: runs inside one class block need the label rotation
     t = np.zeros((3, 3), dtype=complex)
-    t[0, 2] = t[2, 0] = 1e-9
+    t[0, 2] = t[2, 0] = 1e-14
     return t
 
 
@@ -159,6 +159,17 @@ def test_spectrum_ascending_and_orthonormal(ctx12):
     assert len(res.lz_expectations) == 8
 
 
+@pytest.mark.parametrize("theta", [1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("cutoff", [16, 30])
+def test_small_theta_spectrum_stays_ascending(theta, cutoff):
+    # the physical splittings shrink relative to the scale as theta^2, so a run
+    # tolerance set by the boundary states (once 1e-8 of it) merged distinct
+    # levels and put them in label order: -9.9e-4 at theta = 1e-3, N = 30
+    ctx = build_fock(ModelParams(theta=theta, cutoff=cutoff))
+    res = solve_spectrum(hamiltonian(ctx, OSC), 44)
+    assert np.all(np.diff(res.eigenvalues) >= 0.0)
+
+
 def test_spectrum_is_deterministic():
     def fresh():
         ctx = build_fock(ModelParams(theta=0.1, cutoff=12))
@@ -187,7 +198,7 @@ def dense_oracle(h, count):
     """(energy, label, vec) of the lowest levels straight from eigh(h.matrix), and max |E|.
 
     Put in solve_spectrum's canonical form: each run of eigenvalues closer than
-    1e-8 of the scale is rotated to diagonalize the exact label -hbar (m - l)
+    1e-13 of the scale is rotated to diagonalize the exact label -hbar (m - l)
     (ascending), and each vector's largest component is made real positive.
     """
     n = h.cutoff
@@ -195,7 +206,7 @@ def dense_oracle(h, count):
     levels = np.arange(n)
     label = (h.ctx.params.hbar * (levels[None, :] - levels[:, None])).reshape(-1)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    ctol = 1e-8 * scale
+    ctol = 1e-13 * scale
     rows = []
     i = 0
     while i < count:
@@ -223,7 +234,7 @@ def assert_matches_dense_oracle(h, res, count):
 def assert_runs_match_dense_oracle(h, levels):
     """solve_spectrum against dense_oracle run by run, over the runs covering `levels` levels.
 
-    Inside a run (levels closer than 1e-8 of the scale) two things are
+    Inside a run (levels closer than 1e-13 of the scale) two things are
     conventions, not results: which value goes with which state
     (solve_spectrum keeps each sector state's own, the oracle assigns them by
     position) and the basis when one sector holds two states of the run.  So
@@ -240,7 +251,7 @@ def assert_runs_match_dense_oracle(h, levels):
     i = 0
     while i < min(levels, n * n):
         j = i + 1
-        while j < n * n and evals[j] - evals[j - 1] < 1e-8 * scale:
+        while j < n * n and evals[j] - evals[j - 1] < 1e-13 * scale:
             j += 1
         runs.append((i, j))
         i = j

@@ -451,6 +451,12 @@ def test_density_series_at_origin_sums_row_zero(ctx16):
         assert density_series(ctx16, psi, 0.0) == pytest.approx(want, rel=1e-10)
     assert density_series(ctx16, unit_matrix_state(16, 0, 3), 0.0) == pytest.approx(
         1.0 / (2.0 * math.pi * THETA), rel=1e-12)
+    # near z = 0 the leading terms underflow to zero, which is not convergence either
+    late = unit_matrix_state(16, 0, 3)
+    for z in (1e-170, 1e-200):
+        want = position_probability(ctx16, late, z)
+        assert want == pytest.approx(1.5915, rel=1e-4)
+        assert density_series(ctx16, late, z) == pytest.approx(want, rel=1e-10)
     ctx = build_fock(ModelParams(theta=THETA, cutoff=344))
     assert density_series(ctx, ground_state(ctx), 0.0) == pytest.approx(
         position_probability(ctx, ground_state(ctx), 0.0), rel=1e-10)

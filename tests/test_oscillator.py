@@ -72,6 +72,9 @@ def test_degenerate_frequency_raises():
             fn(p)
     with pytest.raises(DegenerateOscillatorError):
         energy(p, 0, 0)
+    # omega = 0 is the free particle: hamiltonian refuses it under the oscillator's name too
+    with pytest.raises(DegenerateOscillatorError, match="omega > 0"):
+        hamiltonian(build_fock(replace(p, cutoff=8)), HamiltonianSpec("oscillator"))
 
 
 def test_alpha_value_and_cross_identity():
