@@ -10,29 +10,28 @@ unitary evolution, position densities, and a reproducible CLI.
 import os as _os
 
 
+def _thread_count(raw: str) -> int | None:
+    """NCQM_THREADS as a positive integer, else None: the one parse, numpy-free, shared with the CLI."""
+    try:
+        n = int(raw)
+    except ValueError:
+        return None
+    return n if n >= 1 else None
+
+
 def _apply_thread_env() -> None:
     """Honor NCQM_THREADS by capping BLAS pools, if numpy is not yet loaded.
 
     Runs before any numpy import below, so the cap is effective for the CLI
     entry point; an embedding process that imported numpy first keeps whatever
     threading it already chose.  Explicit BLAS variables are never overridden.
+    A malformed value is left for the CLI to report; library import stays quiet.
     """
-    raw = _os.environ.get("NCQM_THREADS")
-    if raw is None:
+    n = _thread_count(_os.environ.get("NCQM_THREADS", ""))
+    if n is None:
         return
-    try:
-        n = int(raw)
-    except ValueError:
-        return  # the CLI reports malformed values; library import stays quiet
-    if n < 1:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(var, str(n))
 
 

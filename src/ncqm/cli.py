@@ -26,6 +26,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import _thread_count
 from .core import (
     ConfigurationError,
     ConsistencyError,
@@ -62,7 +63,6 @@ from .measurement import (
 )
 from .observables import angular_momentum, observables, rotate, time_reverse
 from .oscillator import (
-    alpha,
     energy,
     excited_state,
     ground_state,
@@ -177,7 +177,7 @@ def _json_text(report: dict) -> str:
         return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalError("the report holds NaN or inf, which JSON cannot carry; usually an input "
-                             "overflowed double precision (such as a huge --time or --extent)")
+                             "overflowed double precision (such as a huge --extent)")
 
 
 def _finite(opts: dict, key: str) -> float:
@@ -241,7 +241,10 @@ def _sigma_x(opts: dict) -> float:
     return math.sqrt(params.theta / (s * (2.0 - s)))
 
 
-def _default_extent(kind: str, detail, opts: dict, cutoff: int | None) -> float:
+def _extent(kind: str, detail, opts: dict, cutoff: int | None) -> float:
+    """The grid half-width: --extent when given, else a window that fits the state."""
+    if opts.get("extent") is not None:
+        return float(opts["extent"])
     theta = float(opts["theta"])
     if kind == "ground":
         return 4.5 * _sigma_x(opts)
@@ -285,23 +288,20 @@ def _build_state(kind: str, detail, opts: dict):
                 f"--cutoff {explicit_cutoff} disagrees with state file dimension {arr.shape[0]}"
             )
         cutoff = arr.shape[0]
-        extent = opts.get("extent") or _default_extent(kind, detail, opts, cutoff)
         ctx = build_fock(_params(opts, cutoff))
-        psi = QuantumState(arr).normalized()
-        return ctx, psi, float(extent), notes
+        return ctx, QuantumState(arr).normalized(), _extent(kind, detail, opts, cutoff), notes
 
     if kind == "plane":
         cutoff = explicit_cutoff if explicit_cutoff is not None else 40
-        extent = opts.get("extent") or _default_extent(kind, detail, opts, cutoff)
         ctx = build_fock(_params(opts, cutoff))
         psi, _ = plane_wave(ctx, detail)
         notes.append("plane wave normalized over the truncated space; it is not "
                      "normalizable on the plane, so the grid normalization estimate "
                      "reflects the window, not unity")
-        return ctx, psi.normalized(), float(extent), notes
+        return ctx, psi.normalized(), _extent(kind, detail, opts, cutoff), notes
 
-    extent = opts.get("extent") or _default_extent(kind, detail, opts, explicit_cutoff)
-    cutoff = explicit_cutoff if explicit_cutoff is not None else _auto_cutoff(float(extent), theta)
+    extent = _extent(kind, detail, opts, explicit_cutoff)
+    cutoff = explicit_cutoff if explicit_cutoff is not None else _auto_cutoff(extent, theta)
     ctx = build_fock(_params(opts, cutoff))
     if kind == "ground":
         psi = ground_state(ctx)
@@ -309,7 +309,7 @@ def _build_state(kind: str, detail, opts: dict):
         psi = excited_state(ctx, *detail)
     else:
         psi = coherent_state_op(ctx, detail)
-    return ctx, psi, float(extent), notes
+    return ctx, psi, extent, notes
 
 
 def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int) -> QuantumState:
@@ -472,10 +472,7 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     opts = _resolve(args, "spectrum")
     report = _spectrum_oscillator(opts) if opts["system"] == "oscillator" else _spectrum_free(opts)
     report = {"schema": 1, "command": "spectrum", "seed": int(opts["seed"]), **report}
-    if opts["format"] == "csv":
-        _emit(_spectrum_csv(report), opts["out"])
-    else:
-        _emit(_json_text(report), opts["out"])
+    _emit(_spectrum_csv(report) if opts["format"] == "csv" else _json_text(report), opts["out"])
     return 0
 
 
@@ -488,8 +485,8 @@ def _run_probability(args: argparse.Namespace) -> int:
     points = int(opts["points"])
     if points > _POINTS_MAX:
         raise UsageError(f"--points is capped at {_POINTS_MAX}, got {points}")
-    if opts["extent"] is not None:
-        _finite(opts, "extent")
+    if opts["extent"] is not None and _finite(opts, "extent") <= 0.0:
+        raise UsageError(f"--extent must be positive, got {opts['extent']}")
     kind, detail = _parse_state_selector(opts["state"])
     ctx, psi, extent, notes = _build_state(kind, detail, opts)
 
@@ -542,8 +539,7 @@ def _run_evolve(args: argparse.Namespace) -> int:
     ctx, psi0, _, notes = _build_state(kind, detail, opts)
     h = hamiltonian(ctx, HamiltonianSpec(system))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi_t = evolve(psi0, h, t)  # a phase w t that overflows gives NaN, which _json_text refuses
+    psi_t = evolve(psi0, h, t)
     e0 = hs_inner(psi0, h.apply(psi0)).real
     e1 = hs_inner(psi_t, h.apply(psi_t)).real
     report = {
@@ -874,15 +870,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     raw_threads = os.environ.get("NCQM_THREADS")
-    if raw_threads is not None:
-        try:
-            ok = int(raw_threads) >= 1
-        except ValueError:
-            ok = False
-        if not ok:
-            print(f"error: NCQM_THREADS must be a positive integer, got {raw_threads!r}",
-                  file=sys.stderr)
-            return 2
+    if raw_threads is not None and _thread_count(raw_threads) is None:
+        print(f"error: NCQM_THREADS must be a positive integer, got {raw_threads!r}", file=sys.stderr)
+        return 2
 
     parser = _build_parser()
     try:
@@ -899,10 +889,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, ConvergenceError, ConsistencyError,
-            MeasurementImpossibleError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+            MeasurementImpossibleError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,7 +9,8 @@ form, psi -> sum_t L_t psi R_t; the N^2 x N^2 matrix is built only as a test ora
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +181,8 @@ def build_fock(params: ModelParams) -> FockContext:
 class QuantumState:
     """An element of the quantum Hilbert space: an N x N matrix with tr(psi^dag psi) norm.
 
-    The matrix is copied and frozen at construction; norm_sq is cached.
+    The matrix is copied and frozen at construction; norm_sq is cached.  A
+    matrix with a NaN or inf entry, or whose norm overflows, is a UsageError.
     """
 
     __slots__ = ("op", "norm_sq")
@@ -191,6 +193,8 @@ class QuantumState:
             raise UsageError(f"state matrix must be square, got shape {op.shape}")
         self.op = _readonly(op)
         self.norm_sq = float(np.vdot(self.op, self.op).real)
+        if not math.isfinite(self.norm_sq):
+            raise UsageError("state matrix holds non-finite (NaN or inf) entries or its norm overflows")
 
     @property
     def cutoff(self) -> int:

@@ -1,20 +1,26 @@
 """Hamiltonians on the state space, spectra, time evolution, plane waves, continuity.
 
-The kinetic superoperator is built as the symmetric composition
+The kinetic superoperator is the symmetric composition
 
-    (P1^2 + P2^2)/2m = (hbar^2 / 2m theta^2) ([x2,[x2, .]] + [x1,[x1, .]]),
+    (P1^2 + P2^2)/2m = c ([x1,[x1, .]] + [x2,[x2, .]]),    c = hbar^2 / (2 m theta^2),
 
-not as the algebraically equivalent (hbar^2/m theta)[b^dag,[b, .]]: under
+not the algebraically equivalent (hbar^2/m theta)[b^dag,[b, .]]: under
 truncation the two differ by a boundary superoperator, and only the symmetric
 form keeps probability conservation and the continuity identity exact for
-every state, boundary-supported ones included.
+every state, boundary-supported ones included.  With r^2 = x1^2 + x2^2 and
+x1 psi x1 + x2 psi x2 = theta (b psi b^dag + b^dag psi b), an identity that
+holds for the truncated b too, that same composition is four banded terms
+
+    H psi = (c r^2 + V) psi + psi c r^2 - 2c theta (b psi b^dag + b^dag psi b),
+
+so a Hamiltonian is fixed by its potential V alone.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +28,13 @@ from .core import (
     ConsistencyError,
     DegenerateOscillatorError,
     FockContext,
+    NumericalError,
     QuantumState,
     SuperOperator,
     TruncationError,
     UsageError,
     ValidationError,
+    _readonly,
     _require_hermitian,
     support_weight,
     unvec,
@@ -77,18 +85,29 @@ class HamiltonianSpec:
 
 
 class Hamiltonian(SuperOperator):
-    """A Hamiltonian superoperator that remembers its context, potential part and _eig_cached.
+    """H = (P1^2 + P2^2)/2m + V as the module docstring's four terms, from ctx and the N x N V.
 
-    v_matrix must be the potential the terms carry: it fixes the classes of _class_blocks.
+    v_matrix also fixes the classes of _class_blocks; _eig holds _eig_cached's decomposition.
     """
 
-    __slots__ = ("ctx", "spec", "v_matrix", "_eig", "_lock")
+    __slots__ = ("ctx", "v_matrix", "_eig", "_lock")
 
-    def __init__(self, terms, ctx: FockContext, spec: HamiltonianSpec, v_matrix: np.ndarray):
-        super().__init__(terms, hermitian_on_Hq=True)
+    def __init__(self, ctx: FockContext, v_matrix: np.ndarray):
+        n = ctx.cutoff
+        v = _readonly(v_matrix)
+        if v.shape != (n, n):
+            raise UsageError(f"v_matrix must be {n} x {n}, got shape {v.shape}")
+        p = ctx.params
+        c = p.hbar**2 / (2.0 * p.mass * p.theta**2)
+        eye = np.eye(n, dtype=complex)
+        c_r_sq = c * (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2)
+        hop = -2.0 * c * p.theta
+        super().__init__(
+            [(c_r_sq + v, eye), (eye, c_r_sq), (hop * ctx.b, ctx.bdag), (hop * ctx.bdag, ctx.b)],
+            hermitian_on_Hq=True,
+        )
         self.ctx = ctx
-        self.spec = spec
-        self.v_matrix = v_matrix
+        self.v_matrix = v
         self._eig = None
         self._lock = threading.Lock()
 
@@ -115,27 +134,14 @@ def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
 
 
 def hamiltonian(ctx: FockContext, spec: HamiltonianSpec) -> Hamiltonian:
-    """Assemble H = (P1^2 + P2^2)/2m + V as a term list; Hermitian by construction.
+    """H = (P1^2 + P2^2)/2m + V for the spec's potential V; Hermitian by construction.
 
     Raises DegenerateOscillatorError for the oscillator at omega = 0, which is
     the free particle, as lambdas does.
     """
-    p = ctx.params
-    if spec.kind == "oscillator" and p.omega <= 0.0:
+    if spec.kind == "oscillator" and ctx.params.omega <= 0.0:
         raise DegenerateOscillatorError("the oscillator needs omega > 0; omega = 0 is the free particle")
-    n = ctx.cutoff
-    eye = np.eye(n, dtype=complex)
-    c = p.hbar**2 / (2.0 * p.mass * p.theta**2)
-    terms = []
-    for a in (ctx.x2, ctx.x1):
-        a_sq = a @ a
-        terms.append((c * a_sq, eye))
-        terms.append((-2.0 * c * a, a))
-        terms.append((c * eye, a_sq))
-    v_mat = _potential_matrix(ctx, spec)
-    if spec.kind != "free":
-        terms.append((v_mat, eye))
-    return Hamiltonian(terms, ctx=ctx, spec=spec, v_matrix=v_mat)
+    return Hamiltonian(ctx, _potential_matrix(ctx, spec))
 
 
 @dataclass(frozen=True)
@@ -302,7 +308,9 @@ def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
     Each class of psi0 evolves on its own, with no N^2 x N^2 matrix: O(N^3) in
     all when v_matrix is diagonal (2N-1 sectors).  The blocks are shared with
     solve_spectrum and read-only, so repeated and concurrent calls are cheap
-    and safe.  Unitarity is exact up to roundoff for any real t.
+    and safe.  Unitarity is exact up to roundoff for any real t.  Raises
+    NumericalError when a phase w t / hbar is not finite (a t so large that it
+    overflows).
     """
     if not isinstance(h, Hamiltonian):
         raise UsageError("evolve needs a Hamiltonian built by hamiltonian()")
@@ -311,8 +319,12 @@ def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
     hbar = h.ctx.params.hbar
     psi = vec(psi0.op)
     out = np.empty_like(psi)
-    for idx, _, w, v in _eig_cached(h):
-        out[idx] = v @ (np.exp(-1j * w * t / hbar) * (v.conj().T @ psi[idx]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, _, w, v in _eig_cached(h):
+            phase = -1j * w * t / hbar
+            if not np.isfinite(phase).all():
+                raise NumericalError(f"the phase w t / hbar overflows double precision at t = {t}")
+            out[idx] = v @ (np.exp(phase) * (v.conj().T @ psi[idx]))
     return QuantumState(unvec(out, h.cutoff))
 
 
@@ -378,7 +390,6 @@ def interior_residual(s: SuperOperator, psi: QuantumState, eigenvalue: complex, 
     if not (0 <= depth <= n):
         raise UsageError(f"depth must be in 0 .. {n}, got {depth}")
     r = s.apply(psi).op - eigenvalue * psi.op
-    r = np.array(r)
     if depth > 0:
         r[n - depth:, :] = 0.0
         r[:, n - depth:] = 0.0
@@ -399,11 +410,8 @@ def continuity_residual(psi: QuantumState, h: Hamiltonian) -> float:
     """
     if not isinstance(h, Hamiltonian):
         raise UsageError("continuity_residual needs a Hamiltonian built by hamiltonian()")
-    ctx = h.ctx
-    p = ctx.params
-    x1 = np.asarray(ctx.x1)
-    x2 = np.asarray(ctx.x2)
-    a = np.asarray(psi.op)
+    p = h.ctx.params
+    x1, x2, a = h.ctx.x1, h.ctx.x2, psi.op
     adag = a.conj().T
 
     psi_dot = -1j / p.hbar * h.apply(psi).op

@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -405,8 +405,9 @@ def povm_identity_residual(
     |z><z| / (2 pi theta) gives the same residual.  Limited by quadrature
     extent/step, not by the POVM itself.
     """
-    if span > ctx.cutoff:
-        raise UsageError(f"span {span} exceeds cutoff {ctx.cutoff}")
+    if points < 2 or not (1 <= span <= ctx.cutoff):
+        raise UsageError(f"need points >= 2 and span in 1 .. {ctx.cutoff}, "
+                         f"got points {points}, span {span}")
     xs = np.linspace(-extent, extent, points)
     w1 = np.full(points, xs[1] - xs[0])
     w1[0] *= 0.5

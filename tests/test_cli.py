@@ -421,12 +421,17 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["evolve", "--time", "1e308", "--cutoff", "12", "--theta", "1"], 3),  # the phase w t overflows
     (["probability", "--extent", "nan", "--out", "{csv}"], 2),
     (["probability", "--extent", "1e308", "--cutoff", "30", "--points", "5", "--out", "{csv}"], 3),
-], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow"])
+    (["probability", "--extent", "0", "--points", "5", "--out", "{csv}"], 2),
+    (["probability", "--config", "{extent_cfg}", "--points", "5", "--out", "{csv}"], 2),
+], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow",
+        "extent-zero", "config-extent-zero"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"schema": 1, "time": NaN}')
-    argv = [a.format(cfg=cfg, csv=tmp_path / "p.csv") for a in argv]
+    extent_cfg = tmp_path / "extent.json"
+    extent_cfg.write_text('{"schema": 1, "extent": 0}')  # a zero extent once fell back to the default
+    argv = [a.format(cfg=cfg, extent_cfg=extent_cfg, csv=tmp_path / "p.csv") for a in argv]
     code, out, err = run(capsys, argv)
     assert code == expected
     assert out == ""

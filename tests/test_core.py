@@ -127,6 +127,15 @@ def test_state_norm_cache_and_normalization(rng):
     assert not QuantumState(2.0 * op).is_normalized()
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf), 1e160],
+                         ids=["nan", "inf", "imaginary-inf", "norm-overflow"])
+def test_state_refuses_non_finite_matrices(entry):
+    op = np.eye(4, dtype=complex)
+    op[1, 2] = entry
+    with pytest.raises(UsageError, match="non-finite"):
+        QuantumState(op)
+
+
 def test_zero_state_cannot_be_normalized():
     with pytest.raises(UsageError):
         QuantumState(np.zeros((4, 4))).normalized()

@@ -15,6 +15,7 @@ from ncqm import (
     Hamiltonian,
     HamiltonianSpec,
     ModelParams,
+    NumericalError,
     QuantumState,
     SuperOperator,
     TruncationError,
@@ -99,32 +100,47 @@ def test_spec_potential_table_rules():
 
 # ---------------------------------------------------------------- assembly oracle
 
-def kron_oracle(ctx, v=None):
-    # L psi R <-> kron(L, R.T) on row-major vec, assembled level by level
+def kron_oracle(ctx, v):
+    # L psi R <-> kron(L, R.T) on row-major vec: c [x,[x, .]] for x1 and x2, plus V on the left
     n = ctx.cutoff
     eye = np.eye(n)
     p = ctx.params
     c = p.hbar**2 / (2.0 * p.mass * p.theta**2)
-    out = np.zeros((n * n, n * n), dtype=complex)
+    out = np.kron(v, eye).astype(complex)
     for x in (np.asarray(ctx.x1), np.asarray(ctx.x2)):
         ad = np.kron(x, eye) - np.kron(eye, x.T)
         out += c * (ad @ ad)
-    if v is not None:
-        out += np.kron(v, eye)
     return out
 
-def test_free_hamiltonian_matches_kron_oracle(ctx12):
-    h = hamiltonian(ctx12, FREE)
-    want = kron_oracle(ctx12)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(h.matrix - want)) < 1e-13 * scale
-    assert np.max(np.abs(h.v_matrix)) == 0.0
+
+def oracle_potential(ctx, kind):
+    # each kind's V from the position and ladder matrices, independently of _potential_matrix
+    p = ctx.params
+    x1, x2, b, bd = (np.asarray(a) for a in (ctx.x1, ctx.x2, ctx.b, ctx.bdag))
+    return {
+        "free": np.zeros((ctx.cutoff, ctx.cutoff)),
+        "oscillator": 0.5 * p.mass * p.omega**2 * (x1 @ x1 + x2 @ x2),
+        "x1-squared-table": 0.5 * p.theta * (b @ b + bd @ bd + 2.0 * bd @ b + np.eye(ctx.cutoff)),
+        "complex-table": 1j * (bd @ bd - b @ b),
+    }[kind]
 
 
-def test_oscillator_hamiltonian_matches_kron_oracle(ctx12):
-    h = hamiltonian(ctx12, OSC)
-    p = ctx12.params
-    v = 0.5 * p.mass * p.omega**2 * (ctx12.x1 @ ctx12.x1 + ctx12.x2 @ ctx12.x2)
+SPECS = {
+    "free": FREE,
+    "oscillator": OSC,
+    "x1-squared-table": HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1)),
+    "complex-table": HamiltonianSpec("potential", potential_coeffs=complex_table()),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_hamiltonian_matches_kron_oracle(ctx12, kind):
+    # the four banded terms against the double commutators, for every kind of potential
+    h = hamiltonian(ctx12, SPECS[kind])
+    assert len(h.terms) == 4
+    v = oracle_potential(ctx12, kind)
+    assert np.max(np.abs(h.v_matrix - v)) < 1e-15
+    assert kind != "free" or not h.v_matrix.any()
     want = kron_oracle(ctx12, v)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(h.matrix - want)) < 1e-13 * scale
@@ -339,12 +355,18 @@ def test_off_diagonal_tables_take_the_class_route(ctx12, table, blocks, monkeypa
     np.eye(12, k=2),  # b^2 without its adjoint: g = 2, refused in a class block
 ], ids=["sector", "class"])
 def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
-    terms = list(hamiltonian(ctx12, OSC).terms) + [(v, np.eye(12))]
-    h = Hamiltonian(terms, ctx=ctx12, spec=OSC, v_matrix=v)
+    h = Hamiltonian(ctx12, v)
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
         solve_spectrum(h, 1)
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
         evolve(QuantumState(np.eye(12)), h, 1.0)
+
+
+def test_hamiltonian_takes_only_a_potential_of_its_cutoff(ctx12):
+    with pytest.raises(UsageError, match="12 x 12"):
+        Hamiltonian(ctx12, np.zeros((11, 11)))
+    with pytest.raises(UsageError, match="12 x 12"):
+        Hamiltonian(ctx12, 0.0)
 
 
 @pytest.mark.parametrize("kind", ["oscillator", "x1-squared-table"])
@@ -459,6 +481,7 @@ def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
     assert all(np.array_equal(o, out[0]) for o in out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_requires_hamiltonian(ctx12):
     psi = QuantumState(np.eye(12, dtype=complex))
     s = SuperOperator([(np.eye(12, dtype=complex), np.eye(12, dtype=complex))])
@@ -466,6 +489,8 @@ def test_evolve_requires_hamiltonian(ctx12):
         evolve(psi, s, 1.0)
     with pytest.raises(UsageError, match="cutoff"):
         evolve(QuantumState(np.eye(13, dtype=complex)), hamiltonian(ctx12, OSC), 1.0)
+    with pytest.raises(NumericalError, match="phase"):  # w t overflows: refused, not NaN
+        evolve(psi, hamiltonian(ctx12, OSC), 1e308)
     with pytest.raises(UsageError):
         continuity_residual(psi, s)
 

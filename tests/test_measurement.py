@@ -555,3 +555,7 @@ def test_povm_resolves_identity_on_low_levels():
     assert res < 1e-3
     with pytest.raises(UsageError, match="span"):
         povm_identity_residual(ctx, 1.0, span=13)
+    with pytest.raises(UsageError, match="span"):
+        povm_identity_residual(ctx, 1.0, span=0)
+    with pytest.raises(UsageError, match="points"):
+        povm_identity_residual(ctx, 1.0, points=1)
