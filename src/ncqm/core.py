@@ -113,9 +113,10 @@ class ModelParams:
 
 def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
     """Raise error unless mat equals its conjugate transpose within 1e-12 of max(1, max |mat|)."""
-    defect = np.max(np.abs(mat - mat.conj().T))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect, refused below
+        defect = np.max(np.abs(mat - mat.conj().T))
     scale = max(1.0, np.max(np.abs(mat)))
-    if defect > 1e-12 * scale:
+    if not defect <= 1e-12 * scale:  # a NaN or inf defect fails too
         raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConfigurationError,
     ConsistencyError,
     DegenerateOscillatorError,
     FockContext,
@@ -98,7 +99,11 @@ class Hamiltonian(SuperOperator):
         if v.shape != (n, n):
             raise UsageError(f"v_matrix must be {n} x {n}, got shape {v.shape}")
         p = ctx.params
-        c = p.hbar**2 / (2.0 * p.mass * p.theta**2)
+        den = 2.0 * p.mass * p.theta**2
+        c = p.hbar**2 / den if den else math.inf
+        if not math.isfinite(c):
+            raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
+                                     "hbar^2/(2 m theta^2) is not a finite float")
         eye = np.eye(n, dtype=complex)
         c_r_sq = c * (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2)
         hop = -2.0 * c * p.theta

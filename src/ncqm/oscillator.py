@@ -18,7 +18,7 @@ The naive difference forms lose every digit by w ~ 1e6; these do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .core import (
     SuperOperator,
     TruncationError,
     UsageError,
-    build_fock,
 )
-from .observables import momentum_ops, position_ops
 
 __all__ = [
     "lambdas",
@@ -217,88 +215,82 @@ def bogoliubov_transform(params: ModelParams) -> BogoliubovResult:
     )
 
 
-def ladder_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator, SuperOperator, SuperOperator]:
-    """The oscillator ladder superoperators (A1, A1dag, A2, A2dag).
-
-    A1 = (-(l1/hbar) X1 - i(l1/hbar) X2 - i P1 + P2) / sqrt(K1)
-    A2 = ( (l2/hbar) X1 - i(l2/hbar) X2 + i P1 + P2) / sqrt(K2)
-
-    and the daggered pair with conjugated coefficients.  Signs are the ones for
-    which A1 psi_0 = A2 psi_0 = 0 holds exactly for psi_0 = e^{alpha b^dag b}
-    (checked in the tests), and [A_i, A_j^dag] = delta_ij on supported states.
-    """
-    params = ctx.params
+def _ladder_coeffs(params: ModelParams) -> tuple[float, float, float, float]:
+    """(a1, c1, a2, c2) with A1dag psi = a1 b^dag psi + c1 psi b^dag and A2dag psi = a2 b psi + c2 psi b."""
     lam1, lam2 = lambdas(params)
     k1, k2 = k_norms(params)
-    x1, x2 = position_ops(ctx)
-    p1, p2 = momentum_ops(ctx)
+    h_th = params.hbar / params.theta
+    s1, s2 = math.sqrt(2.0 * params.theta / k1), math.sqrt(2.0 * params.theta / k2)
+    return -s1 * (lam1 / params.hbar + h_th), s1 * h_th, s2 * (lam2 / params.hbar - h_th), s2 * h_th
 
-    c1 = lam1 / params.hbar
-    c2 = lam2 / params.hbar
-    inv_k1 = 1.0 / math.sqrt(k1)
-    inv_k2 = 1.0 / math.sqrt(k2)
 
-    a1 = inv_k1 * ((-c1) * x1 + (-1j * c1) * x2 + (-1j) * p1 + p2)
-    a1d = inv_k1 * ((-c1) * x1 + (1j * c1) * x2 + 1j * p1 + p2)
-    a2 = inv_k2 * (c2 * x1 + (-1j * c2) * x2 + 1j * p1 + p2)
-    a2d = inv_k2 * (c2 * x1 + (1j * c2) * x2 + (-1j) * p1 + p2)
-    return a1, a1d, a2, a2d
+def ladder_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator, SuperOperator, SuperOperator]:
+    """The oscillator ladder superoperators (A1, A1dag, A2, A2dag), two terms each.
+
+    A1 = (-(l1/hbar) X1 - i(l1/hbar) X2 - i P1 + P2) / sqrt(K1) and
+    A2 = ((l2/hbar) X1 - i(l2/hbar) X2 + i P1 + P2) / sqrt(K2), the daggers conjugated.
+    As x1 -+ i x2 = sqrt(2 theta) b^dag, b holds exactly for the truncated b,
+
+    A1dag psi = -sqrt(2 th/K1) ((l1/hbar + hbar/th) b^dag psi - (hbar/th) psi b^dag)
+    A2dag psi =  sqrt(2 th/K2) ((l2/hbar - hbar/th) b psi + (hbar/th) psi b)
+
+    and A1, A2 exchange b and b^dag.  A1 psi_0 = A2 psi_0 = 0 exactly for
+    psi_0 = e^{alpha b^dag b}, and [A_i, A_j^dag] = delta_ij on supported states.
+    """
+    a1, c1, a2, c2 = _ladder_coeffs(ctx.params)
+    eye, b, bdag = np.eye(ctx.cutoff, dtype=complex), ctx.b, ctx.bdag
+    return tuple(SuperOperator([(a * op, eye), (c * eye, op)])
+                 for a, c, op in ((a1, c1, b), (a1, c1, bdag), (a2, c2, bdag), (a2, c2, b)))
 
 
 def ground_tail_weight(params: ModelParams) -> float:
     """Normalized weight of the ground state on the top retained Fock level.
 
-    w = e^{2 alpha (N-1)} (1 - e^{2 alpha}) / (1 - e^{2 alpha N}); the
-    truncation-adequacy gauge for ground_state/excited_state.
+    w = e^{2 alpha (N-1)} expm1(2 alpha) / expm1(2 alpha N), which tends to 1/N
+    as theta -> 0; the truncation-adequacy gauge for ground_state/excited_state.
     """
     a = alpha(params)
     n = params.cutoff
     if a == 0.0:
         return 1.0 / n
-    q = math.exp(2.0 * a)
-    return math.exp(2.0 * a * (n - 1)) * (1.0 - q) / (1.0 - q**n)
-
-
-def _ground_matrix(a: float, n: int) -> np.ndarray:
-    diag = np.exp(a * np.arange(n))
-    diag /= np.linalg.norm(diag)
-    return np.diag(diag).astype(complex)
+    return math.exp(2.0 * a * (n - 1)) * math.expm1(2.0 * a) / math.expm1(2.0 * a * n)
 
 
 def ground_state(ctx: FockContext) -> QuantumState:
     """The normalized ground state psi_0 = e^{alpha b^dag b} as a diagonal matrix.
 
-    Raises TruncationError when the top-level weight exceeds _TAIL_MAX (at
-    theta = 0.1 this admits cutoffs N >= 28).  The message reports the cutoff
-    that would pass.
+    Raises TruncationError when the top-level weight exceeds T = _TAIL_MAX (at
+    theta = 0.1 this admits cutoffs N >= 28).  The message names the least
+    cutoff that passes, N - 1 >= log(T / (T e^{2 alpha} - expm1(2 alpha))) / (2 alpha).
     """
     a = alpha(ctx.params)
     w = ground_tail_weight(ctx.params)
     if w > _TAIL_MAX:
         needed = 1
-        if a < 0.0:
-            needed = math.ceil(math.log(_TAIL_MAX / (1.0 - math.exp(2.0 * a))) / (2.0 * a)) + 1
+        if a < 0.0:  # the bound above, with log(T / (T e^{2a} - expm1(2a))) = -log1p(x)
+            x = (_TAIL_MAX - 1.0) * math.expm1(2.0 * a) / _TAIL_MAX
+            needed = math.ceil(-math.log1p(x) / (2.0 * a)) + 1
         raise TruncationError(
             f"ground-state tail weight {w:.3e} exceeds {_TAIL_MAX:.1e} at cutoff "
-            f"{ctx.params.cutoff}; need roughly N >= {needed}"
+            f"{ctx.params.cutoff}; need N >= {needed}"
         )
-    return QuantumState(_ground_matrix(a, ctx.params.cutoff))
+    diag = np.exp(a * np.arange(ctx.params.cutoff))
+    return QuantumState(np.diag(diag / np.linalg.norm(diag)).astype(complex))
 
 
 def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
-    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, built at internal cutoff N' = N + n1 + n2.
+    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, by a recurrence on the one diagonal it occupies.
 
-    The ladders are local.  X1 and X2 multiply by the tridiagonal x1 and x2, and
-    P1 and P2 are commutators with them, so applying a ladder truncated at N'
-    spoils only row and column N'-1 of its result; every entry above reads
-    levels that are still exact.  Each further application moves that band in
-    by one level, so after n1 + n2 applications it starts at level N, outside
-    the kept N x N block.  That block is therefore the exact untruncated
-    result up to a scale, and it is projected out and renormalized.  Each
-    ladder shifts m - l by exactly one, so the exact state lies on the
-    diagonal m - l = n1 - n2; entries off it are cancellation roundoff of the
-    x1 and x2 products and are zeroed.  The tail check is ground_state's at
-    cutoff N, including its cutoff advice.
+    Each two-term ladder moves a state on the diagonal m - l = d to the next;
+    with u_m = psi_{m, m-d} and the coefficients of _ladder_coeffs,
+
+        A1dag: u_m <- a1 sqrt(m) u_{m-1} + c1 sqrt(m-d) u_m,      d -> d + 1
+        A2dag: u_m <- a2 sqrt(m+1) u_{m+1} + c2 sqrt(m-d+1) u_m,  d -> d - 1
+
+    A1dag reads no level above m and A2dag reads one, so from the N + n2
+    levels of psi_0 (u_m = e^{alpha m}) the levels below N come out exact; u
+    is rescaled by powers of two to stay finite.  Besides ground_state's tail
+    check, a block that misses the diagonal or underflows raises TruncationError.
     """
     if n1 < 0 or n2 < 0 or int(n1) != n1 or int(n2) != n2:
         raise UsageError(f"quantum numbers must be non-negative integers, got ({n1}, {n2})")
@@ -307,18 +299,26 @@ def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
         return psi0
 
     n = ctx.params.cutoff
-    n_big = n + n1 + n2
-    if n_big > 2000:
-        raise TruncationError(
-            f"n1 + n2 = {n1 + n2} at cutoff {n} needs internal cutoff {n_big} > 2000; "
-            "state not representable at feasible size"
-        )
-    big_ctx = build_fock(replace(ctx.params, cutoff=n_big))
-    _, a1d, _, a2d = ladder_ops(big_ctx)
-    state = QuantumState(_ground_matrix(alpha(ctx.params), n_big))
-    for _ in range(n1):
-        state = a1d.apply(state)
-    for _ in range(n2):
-        state = a2d.apply(state)
-    d = n2 - n1  # numpy's diagonal offset l - m
-    return QuantumState(np.diag(np.diag(state.op[:n, :n], d), d)).normalized()
+    if abs(n1 - n2) >= n:
+        raise TruncationError(f"excited state ({n1}, {n2}) lies on the diagonal m - l = {n1 - n2}, "
+                              f"outside the block; the cutoff N = {n} must exceed |n1 - n2|")
+    if n + n1 + n2 > 2000:
+        raise TruncationError(f"n1 + n2 = {n1 + n2} at cutoff {n} needs internal cutoff {n + n1 + n2} > 2000; "
+                              "state not representable at feasible size")
+    a1, c1, a2, c2 = _ladder_coeffs(ctx.params)
+    m = np.arange(n + n2, dtype=float)
+    u, d = np.exp(alpha(ctx.params) * m), 0
+    for step in range(n1 + n2):
+        if step < n1:  # A1dag, d -> d + 1
+            u = a1 * np.sqrt(m) * np.append(0.0, u[:-1]) + c1 * np.sqrt(np.maximum(m - d, 0.0)) * u
+            d += 1
+        else:  # A2dag, d -> d - 1
+            d -= 1
+            u = a2 * np.sqrt(m + 1) * np.append(u[1:], 0.0) + c2 * np.sqrt(np.maximum(m - d, 0.0)) * u
+        u = np.ldexp(u, -math.frexp(np.max(np.abs(u)))[1])
+    rows = slice(max(d, 0), n + min(d, 0))  # the rows below N whose column m - d lies in the block
+    top = np.max(np.abs(u[rows]))
+    if top == 0.0:  # every entry underflowed against the levels above N
+        raise TruncationError(f"excited state ({n1}, {n2}) has no weight in the {n} x {n} block that a "
+                              "float can hold; raise the cutoff")
+    return QuantumState(np.diag(np.ldexp(u[rows], -math.frexp(top)[1]), -d).astype(complex)).normalized()

@@ -423,8 +423,15 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["probability", "--extent", "1e308", "--cutoff", "30", "--points", "5", "--out", "{csv}"], 3),
     (["probability", "--extent", "0", "--points", "5", "--out", "{csv}"], 2),
     (["probability", "--config", "{extent_cfg}", "--points", "5", "--out", "{csv}"], 2),
+    (["evolve", "--state", "excited:100,0"], 3),  # its diagonal misses the 30 x 30 block
+    (["evolve", "--state", "excited:200,0"], 3),
+    (["evolve", "--theta", "1e-20"], 3),  # the tail weight once divided 0 by 0
+    (["check", "--suite", "oscillator-oracle", "--theta", "1e-20"], 3),
+    (["spectrum", "--theta", "1e-155", "--cutoff", "4"], 2),  # hbar^2 / (2 m theta^2) overflows
+    (["spectrum", "--theta", "1e-170", "--cutoff", "4"], 2),
 ], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow",
-        "extent-zero", "config-extent-zero"])
+        "extent-zero", "config-extent-zero", "excited-off-block", "excited-far-off-block",
+        "tiny-theta-evolve", "tiny-theta-check", "theta-kinetic-overflow", "theta-squared-underflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncqm import (
+    ConfigurationError,
     ConsistencyError,
     Hamiltonian,
     HamiltonianSpec,
@@ -94,6 +95,9 @@ def test_spec_potential_table_rules():
         HamiltonianSpec("potential", potential_coeffs=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError, match="no potential"):
         HamiltonianSpec("free", potential_coeffs=np.eye(2))
+    for bad in (np.nan, np.inf):  # a non-finite Hermiticity defect is a defect, not a pass
+        with pytest.raises(ValidationError, match="Hermitian"):
+            HamiltonianSpec("potential", potential_coeffs=[[bad]])
     spec = HamiltonianSpec("potential", potential_coeffs=np.array([[0.0, 2.0], [2.0, 1.0]]))
     assert spec.potential_coeffs.dtype == complex
 
@@ -360,6 +364,14 @@ def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
         solve_spectrum(h, 1)
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
         evolve(QuantumState(np.eye(12)), h, 1.0)
+
+
+@pytest.mark.parametrize("theta", [1e-155, 1e-170])
+def test_hamiltonian_refuses_a_theta_whose_kinetic_prefactor_overflows(theta):
+    # hbar^2 / (2 m theta^2) is inf at 1e-155 and divides by an underflowed theta^2 at 1e-170
+    ctx = build_fock(ModelParams(theta=theta, cutoff=4))
+    with pytest.raises(ConfigurationError, match="not a finite float"):
+        hamiltonian(ctx, FREE)
 
 
 def test_hamiltonian_takes_only_a_potential_of_its_cutoff(ctx12):

@@ -430,7 +430,8 @@ def test_radial_density_matches_series(monkeypatch):
 
 @pytest.mark.parametrize("cutoff", [30, 80])
 def test_excited_states_lie_on_one_diagonal_and_take_the_radial_route(monkeypatch, cutoff):
-    # the ladders' roundoff off d = n1 - n2 (up to 4e-16 at N=30) is zeroed, so the route is radial
+    # excited_state writes only the diagonal d = n1 - n2, so every other entry is an exact zero
+    # and the route is radial
     ctx = build_fock(ModelParams(theta=THETA, cutoff=cutoff))
     taken = _routes(monkeypatch)
     for n1, n2 in ((1, 3), (2, 2), (3, 1), (3, 3)):

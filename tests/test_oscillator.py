@@ -1,6 +1,8 @@
 """Closed-form oscillator layer: frequencies, ground/excited states, Bogoliubov data."""
 
 import math
+import re
+import sys
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
@@ -15,6 +17,7 @@ from ncqm import (
     HamiltonianSpec,
     ModelParams,
     QuantumState,
+    SuperOperator,
     TruncationError,
     UsageError,
     alpha,
@@ -30,6 +33,8 @@ from ncqm import (
     k_norms,
     ladder_ops,
     lambdas,
+    momentum_ops,
+    position_ops,
 )
 from ncqm import oscillator
 from conftest import interior_state
@@ -188,12 +193,27 @@ def test_ground_state_truncation_gate():
     ground_state(build_fock(ModelParams(theta=0.1, cutoff=28)))  # just inside
 
 
+@pytest.mark.parametrize("theta", [0.5, 0.1, 0.03, 0.01, 1e-3, 1e-5, 1e-8])
+def test_ground_state_advises_the_least_cutoff_that_passes(theta):
+    with pytest.raises(TruncationError) as refused:
+        ground_state(build_fock(ModelParams(theta=theta, cutoff=2)))
+    needed = int(re.search(r"need N >= (\d+)$", str(refused.value)).group(1))
+
+    def tail(cutoff):
+        return ground_tail_weight(ModelParams(theta=theta, cutoff=cutoff))
+
+    # ground_state refuses exactly when the tail weight exceeds _TAIL_MAX
+    assert tail(needed) <= oscillator._TAIL_MAX < tail(needed - 1)
+
+
 def test_ground_tail_weight_matches_top_entry(ctx01):
     psi0 = ground_state(ctx01)
     top = abs(psi0.op[-1, -1]) ** 2
     assert ground_tail_weight(ctx01.params) == pytest.approx(top, rel=1e-12)
     # alpha = 0 limit spreads the diagonal uniformly
     assert ground_tail_weight(ModelParams(theta=0.0, cutoff=25)) == pytest.approx(1.0 / 25)
+    # and tiny theta tends to it, where 1 - e^{2 alpha} once rounded to 0 / 0
+    assert ground_tail_weight(ModelParams(theta=1e-20, cutoff=25)) == pytest.approx(1.0 / 25)
 
 
 def test_ladders_annihilate_ground(ctx01):
@@ -258,11 +278,42 @@ EXCITED_PARAMS = [
 EXCITED_LEVELS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (0, 4))
 
 
+def _six_term_ladders(ctx):
+    """The ladders composed from the position and momentum superoperators, as the paper writes them.
+
+    A1 = (-(l1/hbar) X1 - i(l1/hbar) X2 - i P1 + P2) / sqrt(K1)
+    A2 = ( (l2/hbar) X1 - i(l2/hbar) X2 + i P1 + P2) / sqrt(K2)
+    """
+    lam1, lam2 = lambdas(ctx.params)
+    k1, k2 = k_norms(ctx.params)
+    x1, x2 = position_ops(ctx)
+    p1, p2 = momentum_ops(ctx)
+    c1, c2 = lam1 / ctx.params.hbar, lam2 / ctx.params.hbar
+    s1, s2 = 1.0 / math.sqrt(k1), 1.0 / math.sqrt(k2)
+    return (s1 * ((-c1) * x1 + (-1j * c1) * x2 + (-1j) * p1 + p2),
+            s1 * ((-c1) * x1 + (1j * c1) * x2 + 1j * p1 + p2),
+            s2 * (c2 * x1 + (-1j * c2) * x2 + 1j * p1 + p2),
+            s2 * (c2 * x1 + (1j * c2) * x2 + (-1j) * p1 + p2))
+
+
+@pytest.mark.parametrize("params", EXCITED_PARAMS, ids=lambda p: f"theta{p.theta}-N{p.cutoff}")
+def test_ladders_are_two_terms_equal_to_the_six_term_composition(params):
+    ctx = build_fock(params)
+    rng = np.random.default_rng(11)
+    states = [QuantumState(rng.standard_normal((params.cutoff,) * 2)
+                           + 1j * rng.standard_normal((params.cutoff,) * 2)) for _ in range(2)]
+    for two, six in zip(ladder_ops(ctx), _six_term_ladders(ctx)):
+        assert len(two.terms) == 2 and len(six.terms) == 6
+        for psi in states:
+            want = six.apply(psi).op
+            assert np.max(np.abs(two.apply(psi).op - want)) < 1e-14 * np.max(np.abs(want))
+
+
 def _excited_at(ctx, n1, n2, n_big):
-    """excited_state's construction, repeated at internal cutoff n_big."""
+    """The dense construction: six-term ladders applied to psi_0 at internal cutoff n_big."""
     n = ctx.params.cutoff
-    _, a1d, _, a2d = ladder_ops(build_fock(replace(ctx.params, cutoff=n_big)))
-    state = QuantumState(oscillator._ground_matrix(alpha(ctx.params), n_big))
+    _, a1d, _, a2d = _six_term_ladders(build_fock(replace(ctx.params, cutoff=n_big)))
+    state = QuantumState(np.diag(np.exp(alpha(ctx.params) * np.arange(n_big))))
     for _ in range(n1):
         state = a1d.apply(state)
     for _ in range(n2):
@@ -282,18 +333,16 @@ def test_excited_state_needs_no_pad_beyond_its_ladders(params):
             assert np.max(np.abs(got - _excited_at(ctx, n1, n2, n_big))) < 1e-11
 
 
-def test_excited_state_builds_one_context_at_n_plus_n1_plus_n2(ctx01, monkeypatch):
-    cutoffs = []
-
-    def recording(params):
-        cutoffs.append(params.cutoff)
-        return build_fock(params)
-
-    monkeypatch.setattr(oscillator, "build_fock", recording)
+def test_excited_state_builds_no_context_and_applies_no_superoperator(ctx01, monkeypatch):
+    calls = []
+    apply = SuperOperator.apply
+    monkeypatch.setattr(SuperOperator, "apply", lambda op, psi: calls.append("apply") or apply(op, psi))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncqm") and hasattr(module, "build_fock"):
+            monkeypatch.setattr(module, "build_fock", lambda params: calls.append("build_fock"))
     for n1, n2 in EXCITED_LEVELS:
-        cutoffs.clear()
         excited_state(ctx01, n1, n2)
-        assert cutoffs == [30 + n1 + n2]
+    assert calls == []
 
 
 def _mp_excited(params, n1, n2):
@@ -344,6 +393,21 @@ def test_excited_state_truncation_gate_names_the_cutoff(ctx01):
         excited_state(build_fock(ModelParams(theta=0.1, cutoff=12)), 1, 0)
     with pytest.raises(TruncationError, match="n1 \\+ n2 = 2000 at cutoff 30"):
         excited_state(ctx01, 1000, 1000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_excited_states_out_of_reach_are_refused_and_in_reach_stay_finite(ctx01):
+    # the diagonal m - l = n1 - n2 misses the N x N block: once refused as the zero state
+    for n1, n2 in ((30, 0), (0, 30), (100, 0), (200, 0), (40, 1000)):
+        with pytest.raises(TruncationError, match="must exceed \\|n1 - n2\\|"):
+            excited_state(ctx01, n1, n2)
+    # rescaled at every ladder step: these once overflowed to a non-finite state
+    for n1, n2 in ((100, 100), (985, 985), (980, 970)):
+        psi = excited_state(ctx01, n1, n2)
+        assert psi.is_normalized(tol=1e-12) and np.count_nonzero(psi.op) > 0
+    # at theta = 1 the block of (985, 985) lies below the float range of its upper levels
+    with pytest.raises(TruncationError, match="raise the cutoff"):
+        excited_state(build_fock(ModelParams(theta=1.0, cutoff=30)), 985, 985)
 
 
 def test_excited_state_validation(ctx01):
