@@ -324,58 +324,56 @@ def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int) -
 # ---------------------------------------------------------------- spectrum
 
 def _analytic_levels(params: ModelParams, count: int) -> list[tuple[float, float, int, int]]:
-    """(energy, lz, n1, n2) for the count lowest oscillator levels, E then lz ascending."""
-    total = 1
-    while (total + 1) * (total + 2) // 2 < count + 2:
-        total += 1
-    rows = sorted((e, params.hbar * m, n1, n2)
-                  for m, queue in _analytic_towers(params, total).items() for e, n1, n2 in queue)
-    return rows[:count]
+    """(energy, lz, n1, n2) for the count lowest oscillator levels, E then lz ascending.
 
-
-def _analytic_towers(params: ModelParams, depth: int) -> dict[int, list[tuple[float, int, int]]]:
-    """Oscillator levels grouped by the integer angular momentum n2 - n1, ascending in energy."""
-    towers: dict[int, list[tuple[float, int, int]]] = {}
-    for n1 in range(depth + 1):
-        for n2 in range(depth + 1 - n1):
-            towers.setdefault(n2 - n1, []).append((energy(params, n1, n2), n1, n2))
-    for queue in towers.values():
-        queue.sort()
-    return towers
-
-
-def _pair_levels_by_tower(result, kept: list[int], params: ModelParams) -> list[dict]:
-    """Match numeric levels to analytic ones within each angular-momentum tower.
-
-    Truncation shifts levels by more than their spacing, so pairing by energy
-    order alone misassigns them; the exact angular-momentum label that
-    solve_spectrum reports (-hbar (m - l), an integer multiple of hbar for the
-    oscillator, whose sectors k never mix) names the tower.  Towers whose low
-    levels are contaminated at this cutoff simply have no numeric partner and
-    are skipped on the analytic side.
+    Shells n1 + n2 <= isqrt(2 count) hold more than count levels, and at theta = 0
+    E grows with the shell.
     """
-    towers = _analytic_towers(params, 2 * len(kept) + 8)
-    used = {m: 0 for m in towers}
+    depth = math.isqrt(2 * count)
+    return sorted((energy(params, n1, n2), params.hbar * (n2 - n1), n1, n2)
+                  for n1 in range(depth + 1) for n2 in range(depth + 1 - n1))[:count]
+
+
+def _oscillator_levels(h, levels: int) -> tuple[list[dict], list[str]]:
+    """The lowest levels below the boundary-weight threshold, each paired with its closed form.
+
+    A truncated ground state is refused first, with ground_state's cutoff
+    advice.  The solve doubles its count until enough levels pass the filter.
+    Truncation shifts levels by more than their spacing, so pairing by energy
+    order alone misassigns them; the exact label -hbar k that solve_spectrum
+    reports names the tower m = n2 - n1 = -k (an oscillator sector), whose j-th
+    level is E(j + max(-m, 0), j + max(m, 0)), ascending in j.  Returns (rows, notes).
+    """
+    ground_state(h.ctx)
+    params = h.ctx.params
+    dim = params.cutoff ** 2
+    count = min(dim, 2 * levels + 24)
+    while True:
+        result = solve_spectrum(h, count)
+        keep = [i for i, w in enumerate(result.boundary_weights) if w < _BOUNDARY_WEIGHT_MAX]
+        if len(keep) >= levels or count >= dim:
+            break
+        count = min(dim, 2 * count + 16)
+    notes = []
+    if len(keep) < levels:
+        notes.append(f"only {len(keep)} levels below the boundary-weight threshold "
+                     f"{_BOUNDARY_WEIGHT_MAX} at cutoff {params.cutoff}; raise --cutoff for more")
+    notes.append("analytic pairing follows angular-momentum towers; delta reflects the "
+                 "truncation shift (it contracts geometrically with the cutoff) and some "
+                 "analytic levels may lack a clean numeric partner at coarse cutoffs")
     rows = []
-    for rank, idx in enumerate(kept):
+    seen: dict[int, int] = {}
+    for rank, idx in enumerate(keep[:levels]):
         e_num = float(result.eigenvalues[idx])
-        lz_num = float(result.lz_expectations[idx])
-        row = {
-            "index": rank,
-            "energy": e_num,
-            "lz": lz_num,
-            "boundary_weight": float(result.boundary_weights[idx]),
-        }
-        m = round(lz_num / params.hbar)
-        queue = towers.get(m)
-        if queue is not None and used[m] < len(queue):
-            e_ana, n1, n2 = queue[used[m]]
-            used[m] += 1
-            row.update({"analytic_energy": e_ana, "delta": e_num - e_ana, "n1": n1, "n2": n2})
-        else:
-            row.update({"analytic_energy": None, "delta": None, "n1": None, "n2": None})
-        rows.append(row)
-    return rows
+        lz = float(result.lz_expectations[idx])
+        m = round(lz / params.hbar)
+        j = seen[m] = seen.get(m, -1) + 1
+        n1, n2 = j + max(-m, 0), j + max(m, 0)
+        e_ana = energy(params, n1, n2)
+        rows.append({"index": rank, "energy": e_num, "lz": lz,
+                     "boundary_weight": float(result.boundary_weights[idx]),
+                     "analytic_energy": e_ana, "delta": e_num - e_ana, "n1": n1, "n2": n2})
+    return rows, notes
 
 
 def _spectrum_oscillator(opts: dict) -> dict:
@@ -384,42 +382,19 @@ def _spectrum_oscillator(opts: dict) -> dict:
         raise UsageError(f"--levels must be positive, got {levels}")
     if levels > _LEVELS_MAX:
         raise UsageError(f"--levels is capped at {_LEVELS_MAX}, got {levels}")
-    theta = float(opts["theta"])
-    notes: list[str] = []
 
-    if theta == 0.0:
+    if float(opts["theta"]) == 0.0:
         params = _params({**opts, "theta": 0.0}, 2)
         rows = [
             {"index": i, "energy": e, "lz": lz, "n1": n1, "n2": n2}
             for i, (e, lz, n1, n2) in enumerate(_analytic_levels(params, levels))
         ]
-        notes.append("commutative limit: closed-form level enumeration "
-                     "(the operator realization needs theta > 0)")
-        return {"system": "oscillator", "params": asdict(params), "levels": rows,
-                "notes": notes}
-
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 30
-    params = _params(opts, cutoff)
-    ctx = build_fock(params)
-    h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
-
-    dim = cutoff * cutoff
-    count = min(dim, max(2 * levels + 24, levels))
-    while True:
-        result = solve_spectrum(h, count)
-        keep = [i for i, w in enumerate(result.boundary_weights) if w < _BOUNDARY_WEIGHT_MAX]
-        if len(keep) >= levels or count >= dim:
-            break
-        count = min(dim, 2 * count + 16)
-    if len(keep) < levels:
-        notes.append(f"only {len(keep)} levels below the boundary-weight threshold "
-                     f"{_BOUNDARY_WEIGHT_MAX} at cutoff {cutoff}; raise --cutoff for more")
-    keep = keep[:levels]
-
-    rows = _pair_levels_by_tower(result, keep, params)
-    notes.append("analytic pairing follows angular-momentum towers; delta reflects the "
-                 "truncation shift (it contracts geometrically with the cutoff) and some "
-                 "analytic levels may lack a clean numeric partner at coarse cutoffs")
+        notes = ["commutative limit: closed-form level enumeration "
+                 "(the operator realization needs theta > 0)"]
+    else:
+        params = _params(opts, int(opts["cutoff"]) if opts["cutoff"] is not None else 30)
+        rows, notes = _oscillator_levels(hamiltonian(build_fock(params), HamiltonianSpec("oscillator")),
+                                         levels)
     return {"system": "oscillator", "params": asdict(params), "levels": rows, "notes": notes}
 
 
@@ -458,13 +433,8 @@ def _spectrum_csv(report: dict) -> str:
         order = ["index", "energy", "lz", "n1", "n2"]
     lines.append(",".join(order))
 
-    def cell(v):
-        if v is None:
-            return ""
-        return repr(v) if isinstance(v, float) else str(v)
-
     for row in rows:
-        lines.append(",".join(cell(row[k]) for k in order))
+        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in order))
     return "\n".join(lines) + "\n"
 
 
@@ -741,7 +711,7 @@ def _suite_oscillator_oracle(opts: dict) -> list[dict]:
         "lambda_difference_identity",
         abs((lam1 - lam2) - m**2 * w**2 * theta) / max(m**2 * w**2 * theta, hbar * m * w), 1e-12))
     radical = math.hypot(2.0 * hbar, m * w * theta)
-    a_direct = math.log((radical - m * w * theta) / (radical + m * w * theta))
+    a_direct = 2.0 * math.log(2.0 * hbar / (radical + m * w * theta))  # e^alpha = (2 hbar / (R + m w theta))^2
     a_cross = -math.log1p(theta * lam1 / hbar**2)
     rows.append(_check_row(
         "alpha_cross_consistency", abs(a_direct - a_cross) / abs(a_cross), 1e-12))
@@ -763,20 +733,20 @@ def _suite_oscillator_oracle(opts: dict) -> list[dict]:
         worst = max(worst, interior_residual(h, psi, energy(params, n1, n2), 3))
     rows.append(_check_row("excited_eigen_interior", worst, 1e-6))
 
-    result = solve_spectrum(h, min(cutoff * cutoff, 40))
-    keep = [i for i, bw in enumerate(result.boundary_weights) if bw < _BOUNDARY_WEIGHT_MAX][:8]
-    lowest: dict[int, dict] = {}
-    for level in _pair_levels_by_tower(result, keep, params):
-        lowest.setdefault(round(level["lz"] / hbar), level)
-    if all(t in lowest for t in (0, 1, -1)):
-        worst = max(abs(lowest[t]["delta"]) / lowest[t]["analytic_energy"] for t in (0, 1, -1))
-    else:
-        worst = math.inf
+    # (1, 0), the lowest level of tower -1, has closed-form rank floor(lam1 / lam2) + 2; about N
+    # levels lie below it at cutoff N, and taking min() before floor() keeps an inf ratio out
+    levels, _ = _oscillator_levels(h, min(cutoff, max(8, math.floor(min(cutoff, lam1 / lam2)) + 2)))
+    tops = ((0, 0), (0, 1), (1, 0))  # the lowest levels of the towers 0, 1 and -1
+    paired = {(row["n1"], row["n2"]): row for row in levels}
+    missing = [n2 - n1 for n1, n2 in tops if (n1, n2) not in paired]
+    worst = 1.0 if missing else max(abs(paired[t]["delta"]) / paired[t]["analytic_energy"] for t in tops)
     row = _check_row("eigensolve_tower_envelope", worst, 0.1)
     row["note"] = ("lowest level of the angular-momentum towers 0 and +/-1 against the "
                    "closed forms; the gap is the truncation shift, which contracts "
                    "geometrically with the cutoff, so the envelope is deliberately coarse. "
                    "Precision validation is the interior-residual checks above.")
+    if missing:
+        row["note"] += f" No level of tower(s) {missing} passed the boundary filter; a missing tower reads 1."
     rows.append(row)
     return rows
 

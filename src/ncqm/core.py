@@ -89,6 +89,7 @@ class ModelParams:
     mass:   particle mass, > 0.
     omega:  oscillator frequency, >= 0 (0 means free particle).
     cutoff: number of retained Fock levels N >= 2 (levels 0 .. N-1).
+    theta, hbar, mass and omega must each have a finite square (below about 1.34e154).
     """
 
     theta: float
@@ -108,6 +109,10 @@ class ModelParams:
             raise ConfigurationError(f"omega must be >= 0, got {self.omega}")
         if int(self.cutoff) != self.cutoff or self.cutoff < 2:
             raise ConfigurationError(f"cutoff must be an integer >= 2, got {self.cutoff}")
+        for name in ("theta", "hbar", "mass", "omega"):  # every closed form squares them
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ConfigurationError(f"{name} = {value!r} is too large: its square overflows")
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
 

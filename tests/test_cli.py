@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncqm import cli
+from ncqm import ModelParams, cli, energy
 from ncqm.cli import main
 
 THETA = 0.1
@@ -143,6 +143,16 @@ def test_truncation_failures_exit_3(capsys, tmp_path):
     assert code == 3 and "error:" in err
 
 
+@pytest.mark.parametrize("theta,needed", [("0.001", 550), ("0.01", 153)])
+def test_spectrum_refuses_a_truncated_ground_state(capsys, tmp_path, theta, needed):
+    # these once paired a level at 118.2 (theta = 0.001) with the closed form 1.9995, exit 0
+    target = tmp_path / "levels.json"
+    code, out, err = run(capsys, ["spectrum", "--theta", theta, "--out", str(target)])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ground-state tail weight") and f"need N >= {needed}" in err
+    assert not target.exists()
+
+
 def test_failing_check_exits_1(capsys):
     # extreme theta drives absolute commutator roundoff past the fixed tolerance
     code, out, _ = run(capsys, ["check", "--suite", "algebra", "--theta", "1e8", "--cutoff", "12"])
@@ -182,6 +192,55 @@ def test_spectrum_default_json(capsys):
     assert rows[1]["lz"] == pytest.approx(1.0, abs=0.02)
     assert (rows[2]["n1"], rows[2]["n2"]) == (1, 0)
     assert rows[2]["lz"] == pytest.approx(-1.0, abs=0.02)
+
+
+def _tower_table(params, lzs):
+    """The pairing by an explicit table: every (n1, n2) to a depth, grouped by tower, sorted, taken in order."""
+    depth = 2 * len(lzs) + 8
+    towers = {}
+    for n1 in range(depth + 1):
+        for n2 in range(depth + 1 - n1):
+            towers.setdefault(n2 - n1, []).append((energy(params, n1, n2), n1, n2))
+    for queue in towers.values():
+        queue.sort()
+    used = dict.fromkeys(towers, 0)
+    pairs = []
+    for lz in lzs:
+        m = round(lz / params.hbar)
+        e, n1, n2 = towers[m][used[m]]  # a level without a partner fails here
+        used[m] += 1
+        pairs.append((n1, n2, e))
+    return pairs
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("cutoff", [30, 60])
+@pytest.mark.parametrize("levels", [10, 100])
+def test_closed_form_pairing_matches_the_tower_table(capsys, monkeypatch, theta, cutoff, levels):
+    counts = []
+    solve = cli.solve_spectrum
+    monkeypatch.setattr(cli, "solve_spectrum", lambda h, count: counts.append(count) or solve(h, count))
+    report = run_json(capsys, ["spectrum", "--theta", str(theta), "--cutoff", str(cutoff),
+                               "--levels", str(levels)])
+    rows = report["levels"]
+    params = ModelParams(**report["params"])
+    assert [(r["n1"], r["n2"], r["analytic_energy"]) for r in rows] == _tower_table(
+        params, [r["lz"] for r in rows])
+    if (theta, cutoff, levels) == (0.1, 30, 100):
+        assert len(counts) == 3  # the boundary filter keeps too few at the first two counts
+
+
+def test_spectrum_and_oracle_suite_share_one_report_path(tmp_path, monkeypatch):
+    calls, counts = [], []
+    helper, solve = cli._oscillator_levels, cli.solve_spectrum
+    monkeypatch.setattr(cli, "_oscillator_levels", lambda h, levels: calls.append(levels) or helper(h, levels))
+    monkeypatch.setattr(cli, "solve_spectrum", lambda h, count: counts.append(count) or solve(h, count))
+    assert main(["spectrum", "--out", str(tmp_path / "s.json")]) == 0
+    assert calls == [10]
+    calls.clear()
+    counts.clear()
+    assert main(["check", "--suite", "oscillator-oracle", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [8] and counts == [40]
 
 
 def test_spectrum_commutative_csv_exact(capsys):
@@ -228,12 +287,12 @@ def test_config_file_feeds_defaults_flags_win(capsys, tmp_path):
 
 # a cheap run of each command, and one value per numeric flag; the flag list is the CLI's own table
 _CHEAP = {
-    "spectrum": {"cutoff": "12", "levels": "3"},
+    "spectrum": {"cutoff": "40", "levels": "3"},
     "probability": {"state": "coherent:0.3", "cutoff": "20", "points": "7"},
     "evolve": {"state": "coherent:0.3", "cutoff": "16", "time": "0.5"},
     "check": {"suite": "algebra", "cutoff": "10"},
 }
-_VALUES = {"theta": 0.2, "hbar": 1.5, "mass": 2, "omega": 1.5, "cutoff": 14, "seed": 3,
+_VALUES = {"theta": 0.2, "hbar": 1.5, "mass": 2, "omega": 1.5, "cutoff": 30, "seed": 3,
            "levels": 4, "points": 9, "extent": 1.5, "time": 0.25}
 _NUMERIC = [(command, key) for command in cli._COMMANDS for key, (commands, _, kwargs) in cli._FLAGS.items()
             if command in commands and kwargs.get("type") in (int, float)]
@@ -429,9 +488,16 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["check", "--suite", "oscillator-oracle", "--theta", "1e-20"], 3),
     (["spectrum", "--theta", "1e-155", "--cutoff", "4"], 2),  # hbar^2 / (2 m theta^2) overflows
     (["spectrum", "--theta", "1e-170", "--cutoff", "4"], 2),
+    (["spectrum", "--theta", "1e200", "--cutoff", "4"], 2),  # each square overflows: refused by ModelParams
+    (["check", "--suite", "povm", "--hbar", "1e200"], 2),
+    (["probability", "--mass", "1e200", "--points", "5", "--out", "{csv}"], 2),
+    (["spectrum", "--system", "free", "--kappa", "0.01", "--omega", "1e200"], 2),
+    (["evolve", "--omega", "1e200"], 2),
 ], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow",
         "extent-zero", "config-extent-zero", "excited-off-block", "excited-far-off-block",
-        "tiny-theta-evolve", "tiny-theta-check", "theta-kinetic-overflow", "theta-squared-underflow"])
+        "tiny-theta-evolve", "tiny-theta-check", "theta-kinetic-overflow", "theta-squared-underflow",
+        "theta-square-overflow", "hbar-square-overflow", "mass-square-overflow",
+        "omega-square-overflow-free", "omega-square-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"
@@ -481,6 +547,28 @@ def test_fast_suites_pass(capsys, suite):
     assert report["passed"] is True
     assert all(row["pass"] for row in report["checks"])
     assert report["suite"] == suite
+
+
+@pytest.mark.parametrize("theta", ["3", "100", "1e8"])
+def test_oscillator_oracle_passes_at_large_theta(capsys, theta):
+    # (1, 0) ranks floor(lam1 / lam2) + 2 (12th at theta = 3), beyond the 8 levels once read
+    report = run_json(capsys, ["check", "--suite", "oscillator-oracle", "--theta", theta])
+    assert report["passed"] and all(row["pass"] for row in report["checks"])
+
+
+def test_oscillator_oracle_fails_finitely_without_a_tower(capsys, monkeypatch):
+    helper = cli._oscillator_levels
+
+    def tower_zero(h, levels):
+        rows, notes = helper(h, levels)
+        return [row for row in rows if row["n1"] == row["n2"]], notes
+
+    monkeypatch.setattr(cli, "_oscillator_levels", tower_zero)
+    code, out, _ = run(capsys, ["check", "--suite", "oscillator-oracle"])
+    assert code == 1
+    row = next(r for r in json.loads(out)["checks"] if r["name"] == "eigensolve_tower_envelope")
+    assert not row["pass"] and row["value"] == 1.0
+    assert "tower(s) [1, -1]" in row["note"]
 
 
 def test_check_report_is_self_describing(capsys):

@@ -45,6 +45,13 @@ def test_params_validation_rejects(kwargs):
         ModelParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["theta", "hbar", "mass", "omega"])
+def test_params_refuse_values_whose_square_overflows(name):
+    ModelParams(**{"theta": 0.1, name: 1e154})
+    with pytest.raises(ConfigurationError, match=f"^{name} = 1e\\+200 is too large"):
+        ModelParams(**{"theta": 0.1, name: 1e200})
+
+
 def test_params_accepts_commutative_point_and_coerces_cutoff():
     p = ModelParams(theta=0.0, cutoff=8.0)
     assert p.theta == 0.0
