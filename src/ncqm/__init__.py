@@ -92,6 +92,7 @@ from .dynamics import (  # noqa: E402
     interior_residual,
     plane_wave,
     solve_spectrum,
+    spectrum_levels,
 )
 from .measurement import (  # noqa: E402
     GridSpec,
@@ -130,7 +131,7 @@ __all__ = [
     "ground_tail_weight", "ground_state", "excited_state",
     # dynamics
     "HamiltonianSpec", "Hamiltonian", "SpectrumResult", "hamiltonian",
-    "solve_spectrum", "evolve", "plane_wave", "boundary_defect_depth",
+    "spectrum_levels", "solve_spectrum", "evolve", "plane_wave", "boundary_defect_depth",
     "interior_residual", "continuity_residual",
     # measurement
     "TruncationWarning", "coherent_vector", "coherent_tail", "coherent_state_op",

@@ -18,6 +18,7 @@ console script guarantees that order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -51,7 +52,7 @@ from .dynamics import (
     hamiltonian,
     interior_residual,
     plane_wave,
-    solve_spectrum,
+    spectrum_levels,
 )
 from .measurement import (
     GridSpec,
@@ -140,24 +141,24 @@ def _config_value(key: str, value):
 
 
 def _as_complex(value, what: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        s = value.strip().replace(" ", "")
-        if "," in s:
-            re_s, im_s = s.split(",", 1)
-            try:
-                return complex(float(re_s), float(im_s))
-            except ValueError:
-                pass
+    """RE, "RE,IM", RE+IMj or a [RE, IM] pair of numbers; refused unless |z|^2 is a finite float."""
+    z = None
+    try:
+        if isinstance(value, str):
+            s = value.strip().replace(" ", "")
+            z = complex(*map(float, s.split(",", 1))) if "," in s else complex(s)
         else:
-            try:
-                return complex(s)
-            except ValueError:
-                pass
-    raise UsageError(f"cannot parse {what} value {value!r}; use RE, \"RE,IM\", or RE+IMj")
+            parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+            if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+                z = complex(*parts)
+    except (ValueError, OverflowError):
+        pass
+    if z is None:
+        raise UsageError(f"cannot parse {what} value {value!r}; use RE, \"RE,IM\", or RE+IMj")
+    modulus = math.hypot(z.real, z.imag)
+    if not math.isfinite(modulus * modulus):  # the rule ModelParams applies to its parameters
+        raise UsageError(f"{what} value {value!r} must be finite, with |z| below about 1.34e154")
+    return z
 
 
 def _params(opts: dict, cutoff: int) -> ModelParams:
@@ -260,12 +261,12 @@ def _extent(kind: str, detail, opts: dict, cutoff: int | None) -> float:
 
 def _auto_cutoff(extent: float, theta: float) -> int:
     """Cutoff covering the grid corner |z|^2 = extent^2 / theta with samples to spare."""
-    needed = math.ceil(3.0 * extent * extent / theta) + 8
-    if needed > 2000:
+    corner = 3.0 * extent * extent / theta
+    if not corner <= 1992.0:  # the cutoff below would exceed 2000
         raise ConfigurationError(
-            f"grid extent {extent:g} would need cutoff {needed}; shrink --extent or pass --cutoff"
+            f"grid extent {extent:g} would need cutoff {corner + 8:.3g}; shrink --extent or pass --cutoff"
         )
-    return max(needed, 8)
+    return max(math.ceil(corner) + 8, 8)
 
 
 def _build_state(kind: str, detail, opts: dict):
@@ -315,6 +316,9 @@ def _build_state(kind: str, detail, opts: dict):
 def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int) -> QuantumState:
     """Seeded dense random state supported strictly below level cutoff - margin."""
     top = cutoff - margin
+    if top < 1:
+        raise UsageError(f"--cutoff {cutoff} leaves no room for this suite's sample states, which "
+                         f"stay {margin} levels below it; use --cutoff {margin + 1} or more")
     block = rng.standard_normal((top, top)) + 1j * rng.standard_normal((top, top))
     op = np.zeros((cutoff, cutoff), dtype=complex)
     op[:top, :top] = block
@@ -338,40 +342,32 @@ def _oscillator_levels(h, levels: int) -> tuple[list[dict], list[str]]:
     """The lowest levels below the boundary-weight threshold, each paired with its closed form.
 
     A truncated ground state is refused first, with ground_state's cutoff
-    advice.  The solve doubles its count until enough levels pass the filter.
-    Truncation shifts levels by more than their spacing, so pairing by energy
-    order alone misassigns them; the exact label -hbar k that solve_spectrum
-    reports names the tower m = n2 - n1 = -k (an oscillator sector), whose j-th
-    level is E(j + max(-m, 0), j + max(m, 0)), ascending in j.  Returns (rows, notes).
+    advice.  The levels are read off spectrum_levels until enough pass the
+    filter, and each state is dropped as it goes past.  Truncation shifts
+    levels by more than their spacing, so pairing by energy order alone
+    misassigns them; the exact label -hbar k of each level names the tower
+    m = n2 - n1 = -k (an oscillator sector), whose j-th level is
+    E(j + max(-m, 0), j + max(m, 0)), ascending in j.  Returns (rows, notes).
     """
     ground_state(h.ctx)
     params = h.ctx.params
-    dim = params.cutoff ** 2
-    count = min(dim, 2 * levels + 24)
-    while True:
-        result = solve_spectrum(h, count)
-        keep = [i for i, w in enumerate(result.boundary_weights) if w < _BOUNDARY_WEIGHT_MAX]
-        if len(keep) >= levels or count >= dim:
-            break
-        count = min(dim, 2 * count + 16)
+    kept = list(itertools.islice(((float(e), lz, float(w)) for e, _, lz, w in spectrum_levels(h)
+                                  if w < _BOUNDARY_WEIGHT_MAX), levels))
     notes = []
-    if len(keep) < levels:
-        notes.append(f"only {len(keep)} levels below the boundary-weight threshold "
+    if len(kept) < levels:
+        notes.append(f"only {len(kept)} levels below the boundary-weight threshold "
                      f"{_BOUNDARY_WEIGHT_MAX} at cutoff {params.cutoff}; raise --cutoff for more")
     notes.append("analytic pairing follows angular-momentum towers; delta reflects the "
                  "truncation shift (it contracts geometrically with the cutoff) and some "
                  "analytic levels may lack a clean numeric partner at coarse cutoffs")
     rows = []
     seen: dict[int, int] = {}
-    for rank, idx in enumerate(keep[:levels]):
-        e_num = float(result.eigenvalues[idx])
-        lz = float(result.lz_expectations[idx])
+    for rank, (e_num, lz, weight) in enumerate(kept):
         m = round(lz / params.hbar)
         j = seen[m] = seen.get(m, -1) + 1
         n1, n2 = j + max(-m, 0), j + max(m, 0)
         e_ana = energy(params, n1, n2)
-        rows.append({"index": rank, "energy": e_num, "lz": lz,
-                     "boundary_weight": float(result.boundary_weights[idx]),
+        rows.append({"index": rank, "energy": e_num, "lz": lz, "boundary_weight": weight,
                      "analytic_energy": e_ana, "delta": e_num - e_ana, "n1": n1, "n2": n2})
     return rows, notes
 

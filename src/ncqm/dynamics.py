@@ -18,6 +18,7 @@ so a Hamiltonian is fixed by its potential V alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ __all__ = [
     "Hamiltonian",
     "hamiltonian",
     "SpectrumResult",
+    "spectrum_levels",
     "solve_spectrum",
     "evolve",
     "plane_wave",
@@ -154,7 +156,7 @@ class SpectrumResult:
     """Lowest eigenpairs of a Hamiltonian superoperator.
 
     eigenvalues ascending (by label inside a degenerate run, levels closer than
-    1e-13 of the spectral scale; see solve_spectrum);
+    1e-13 of the spectral scale; see spectrum_levels);
     eigenstates orthonormal under the Hilbert-Schmidt inner product.
     lz_expectations holds, per state, the expectation of the exact
     angular-momentum label, which multiplies the matrix unit |m><l| by
@@ -174,23 +176,6 @@ class SpectrumResult:
     eigenstates: list
     lz_expectations: np.ndarray
     boundary_weights: np.ndarray
-
-
-def _clusters(vals: np.ndarray, count: int, ctol: float) -> list[tuple[int, int]]:
-    """Runs [i, j) of ascending vals whose neighbours lie closer than ctol.
-
-    They cover at least the first `count` values and never split a run, so an
-    exactly degenerate level is never cut off halfway.
-    """
-    runs = []
-    i = 0
-    while i < count:
-        j = i + 1
-        while j < len(vals) and vals[j] - vals[j - 1] < ctol:
-            j += 1
-        runs.append((i, j))
-        i = j
-    return runs
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -233,7 +218,7 @@ def _class_blocks(h: Hamiltonian) -> list:
 
 
 def _eig_cached(h: Hamiltonian) -> list:
-    """The one eigendecomposition of H, computed on first use; solve_spectrum and evolve share it.
+    """The one eigendecomposition of H, computed on first use; spectrum_levels and evolve share it.
 
     The blocks of _class_blocks: (vec indices, label, eigenvalues ascending,
     eigenvectors as columns).
@@ -244,42 +229,50 @@ def _eig_cached(h: Hamiltonian) -> list:
         return h._eig
 
 
-def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
-    """Lowest `count` eigenpairs of H, read off the class blocks of _eig_cached, which evolve shares.
+def spectrum_levels(h: Hamiltonian):
+    """H's eigenpairs one level at a time, lowest first, as (eigenvalue, state, lz, boundary_weight).
 
-    Free, oscillator, and potential tables whose v_matrix is diagonal give
-    2N-1 sector blocks of size N - |k|; any other table gives g classes of
-    about N^2/g units (g = 1 is one block over all N^2 units).
+    Read off the class blocks of _eig_cached, which evolve shares.  Free,
+    oscillator, and potential tables whose v_matrix is diagonal give 2N-1
+    sector blocks of size N - |k|; any other table gives g classes of about
+    N^2/g units (g = 1 is one block over all N^2 units).
 
     Ordering: energy ascending; eigenvalues closer than 1e-13 of the spectral
-    scale form one degenerate cluster, ordered by ascending lz_expectations
-    (the exact label, see SpectrumResult).  Exact degeneracies, such as the
-    free particle's k, -k pairs, come out of separate blocks within about
-    1e-15 of the scale, so the runs hold them and little else.  Physical
-    splittings relative to the scale fall as theta^2: the oscillator's lowest
-    44 levels stay ascending down to theta = 1e-5 at N = 16 and 30, but at
-    theta = 1e-6 distinct levels merge into one run and come out in label
-    order (a step of -8.8e-6 at N = 30).  Phase: the largest component of
-    each eigenstate, first of equals in vec order, is real and positive.
+    scale form one degenerate run, ordered by ascending lz (the exact label,
+    see SpectrumResult).  Exact degeneracies, such as the free particle's k, -k
+    pairs, come out of separate blocks within about 1e-15 of the scale, so the
+    runs hold them and little else.  Physical splittings relative to the scale
+    fall as theta^2: the oscillator's lowest 44 levels stay ascending down to
+    theta = 1e-5 at N = 16 and 30, but at theta = 1e-6 distinct levels merge
+    into one run and come out in label order (a step of -8.8e-6 at N = 30).
+    Phase: the largest component of each eigenstate, first of equals in vec
+    order, is real and positive.  boundary_weight is support_weight(state, N-4).
+
+    Each run is ordered as a whole before its first level is yielded, and no
+    run past the last level read is ordered or built, so a consumer that
+    drops each state holds one at a time.  A non-Hamiltonian raises
+    UsageError on the first next().
     """
     if not isinstance(h, Hamiltonian):
-        raise UsageError("solve_spectrum needs a Hamiltonian built by hamiltonian()")
+        raise UsageError("spectrum_levels needs a Hamiltonian built by hamiltonian()")
     n = h.cutoff
-    if not (1 <= count <= n * n):
-        raise UsageError(f"count must be in 1 .. {n * n}, got {count}")
-
     blocks = _eig_cached(h)
     vals = np.concatenate([w for _, _, w, _ in blocks])
     where = [(b, q) for b, (_, _, w, _) in enumerate(blocks) for q in range(len(w))]
     order = np.argsort(vals, kind="stable")
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    ordered = vals[order]
+    ctol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
     levels = np.arange(n)  # the exact label -hbar (m - l) of each unit |m><l|, vec ordering:
     label = (h.ctx.params.hbar * (levels[None, :] - levels[:, None])).reshape(-1)
+    guard = max(n - 4, 0)
 
-    picked = []  # (eigenvalue, label, vec indices, eigenvector)
-    for i, j in _clusters(vals[order], count, 1e-13 * scale):
+    i = 0
+    while i < len(order):
+        j = i + 1  # the run [i, j): neighbours closer than ctol
+        while j < len(order) and ordered[j] - ordered[j - 1] < ctol:
+            j += 1
         run = [where[q] for q in order[i:j]]
-        found = []
+        found = []  # (eigenvalue, label, vec indices, eigenvector)
         for b in dict.fromkeys(b for b, _ in run):
             idx, lz, w, v = blocks[b]
             cols = [q for c, q in run if c == b]
@@ -291,20 +284,23 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
             else:  # every state of a sector carries its exact label
                 lzs = [lz] * len(cols)
             found += [(w[q], float(lz_q), idx, u) for q, lz_q, u in zip(cols, lzs, vecs.T)]
-        picked += sorted(found, key=lambda r: r[1])
+        for e, lz, idx, u in sorted(found, key=lambda r: r[1]):
+            op = np.zeros(n * n, dtype=complex)
+            op[idx] = _phase_fixed(u)
+            state = QuantumState(unvec(op, n))
+            yield e, state, lz, support_weight(state, guard)
+        i = j
 
-    states = []
-    for _, _, idx, u in picked[:count]:
-        op = np.zeros(n * n, dtype=complex)
-        op[idx] = _phase_fixed(u)
-        states.append(QuantumState(unvec(op, n)))
-    guard = max(n - 4, 0)
-    return SpectrumResult(
-        eigenvalues=np.array([e for e, _, _, _ in picked[:count]]),
-        eigenstates=states,
-        lz_expectations=np.array([lz for _, lz, _, _ in picked[:count]]),
-        boundary_weights=np.array([support_weight(s, guard) for s in states]),
-    )
+
+def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
+    """The first `count` levels of spectrum_levels(h), with its ordering, labels and phases."""
+    if not isinstance(h, Hamiltonian):
+        raise UsageError("solve_spectrum needs a Hamiltonian built by hamiltonian()")
+    n = h.cutoff
+    if not (1 <= count <= n * n):
+        raise UsageError(f"count must be in 1 .. {n * n}, got {count}")
+    vals, states, lzs, weights = zip(*itertools.islice(spectrum_levels(h), count))
+    return SpectrumResult(np.array(vals), list(states), np.array(lzs), np.array(weights))
 
 
 def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
@@ -312,7 +308,7 @@ def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
 
     Each class of psi0 evolves on its own, with no N^2 x N^2 matrix: O(N^3) in
     all when v_matrix is diagonal (2N-1 sectors).  The blocks are shared with
-    solve_spectrum and read-only, so repeated and concurrent calls are cheap
+    spectrum_levels and read-only, so repeated and concurrent calls are cheap
     and safe.  Unitarity is exact up to roundoff for any real t.  Raises
     NumericalError when a phase w t / hbar is not finite (a t so large that it
     overflows).

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,30 +218,41 @@ def _tower_table(params, lzs):
 @pytest.mark.parametrize("cutoff", [30, 60])
 @pytest.mark.parametrize("levels", [10, 100])
 def test_closed_form_pairing_matches_the_tower_table(capsys, monkeypatch, theta, cutoff, levels):
-    counts = []
-    solve = cli.solve_spectrum
-    monkeypatch.setattr(cli, "solve_spectrum", lambda h, count: counts.append(count) or solve(h, count))
+    streams = []
+    stream = cli.spectrum_levels
+    monkeypatch.setattr(cli, "spectrum_levels", lambda h: streams.append(h) or stream(h))
     report = run_json(capsys, ["spectrum", "--theta", str(theta), "--cutoff", str(cutoff),
                                "--levels", str(levels)])
     rows = report["levels"]
     params = ModelParams(**report["params"])
     assert [(r["n1"], r["n2"], r["analytic_energy"]) for r in rows] == _tower_table(
         params, [r["lz"] for r in rows])
-    if (theta, cutoff, levels) == (0.1, 30, 100):
-        assert len(counts) == 3  # the boundary filter keeps too few at the first two counts
+    assert len(streams) == 1  # read until enough levels pass the boundary filter, never re-solved
 
 
 def test_spectrum_and_oracle_suite_share_one_report_path(tmp_path, monkeypatch):
-    calls, counts = [], []
-    helper, solve = cli._oscillator_levels, cli.solve_spectrum
+    calls, streams = [], []
+    helper, stream = cli._oscillator_levels, cli.spectrum_levels
     monkeypatch.setattr(cli, "_oscillator_levels", lambda h, levels: calls.append(levels) or helper(h, levels))
-    monkeypatch.setattr(cli, "solve_spectrum", lambda h, count: counts.append(count) or solve(h, count))
+    monkeypatch.setattr(cli, "spectrum_levels", lambda h: streams.append(h) or stream(h))
     assert main(["spectrum", "--out", str(tmp_path / "s.json")]) == 0
-    assert calls == [10]
+    assert calls == [10] and len(streams) == 1
     calls.clear()
-    counts.clear()
+    streams.clear()
     assert main(["check", "--suite", "oscillator-oracle", "--out", str(tmp_path / "c.json")]) == 0
-    assert calls == [8] and counts == [40]
+    assert calls == [8] and len(streams) == 1
+
+
+def test_large_spectrum_request_runs_in_bounded_memory(tmp_path):
+    # each state is dropped once the boundary filter has read it: 316 MiB when all
+    # solved states were built first, about 4 MiB now
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--levels", "1000", "--cutoff", "60", "--out", str(tmp_path / "s.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_spectrum_commutative_csv_exact(capsys):
@@ -493,18 +505,43 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["probability", "--mass", "1e200", "--points", "5", "--out", "{csv}"], 2),
     (["spectrum", "--system", "free", "--kappa", "0.01", "--omega", "1e200"], 2),
     (["evolve", "--omega", "1e200"], 2),
+    (["probability", "--state", "coherent:nan", "--points", "5", "--out", "{csv}"], 2),
+    (["probability", "--state", "coherent:inf", "--points", "5", "--out", "{csv}"], 2),
+    (["probability", "--state", "coherent:1e200", "--points", "5", "--out", "{csv}"], 2),
+    (["evolve", "--state", "coherent:1e200"], 2),  # |z|^2 overflows
+    (["probability", "--state", "plane:1e200", "--points", "5", "--out", "{csv}"], 2),
+    (["spectrum", "--system", "free", "--kappa", "1e200"], 2),
+    (["spectrum", "--config", "{kappa_text}"], 2),
+    (["spectrum", "--config", "{kappa_null}"], 2),
+    (["evolve", "--state", "coherent:nan"], 2),
+    (["evolve", "--state", "coherent:inf"], 2),
+    (["evolve", "--state", "coherent:1,nan"], 2),
+    (["evolve", "--system", "free", "--kappa", "nan"], 2),
+    (["spectrum", "--system", "free", "--kappa", "nan,0"], 2),
+    (["probability", "--state", "plane:nan", "--points", "5", "--out", "{csv}"], 2),
+    (["probability", "--points", "5", "--theta", "1e-300", "--out", "{csv}"], 2),  # needs cutoff 3.04e+301
+    (["probability", "--extent", "1e300", "--points", "5", "--out", "{csv}"], 2),  # needs cutoff inf
 ], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow",
         "extent-zero", "config-extent-zero", "excited-off-block", "excited-far-off-block",
         "tiny-theta-evolve", "tiny-theta-check", "theta-kinetic-overflow", "theta-squared-underflow",
         "theta-square-overflow", "hbar-square-overflow", "mass-square-overflow",
-        "omega-square-overflow-free", "omega-square-overflow"])
+        "omega-square-overflow-free", "omega-square-overflow", "coherent-nan-probability",
+        "coherent-inf-probability", "coherent-square-overflow-probability", "coherent-square-overflow",
+        "plane-square-overflow", "kappa-square-overflow", "config-kappa-text", "config-kappa-null",
+        "coherent-nan", "coherent-inf", "coherent-imag-nan", "free-kappa-nan", "spectrum-kappa-nan",
+        "plane-nan", "tiny-theta-auto-cutoff", "huge-extent-auto-cutoff"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"schema": 1, "time": NaN}')
     extent_cfg = tmp_path / "extent.json"
     extent_cfg.write_text('{"schema": 1, "extent": 0}')  # a zero extent once fell back to the default
-    argv = [a.format(cfg=cfg, extent_cfg=extent_cfg, csv=tmp_path / "p.csv") for a in argv]
+    kappa_text = tmp_path / "kappa_text.json"
+    kappa_text.write_text('{"schema": 1, "system": "free", "kappa": ["a", 1]}')
+    kappa_null = tmp_path / "kappa_null.json"
+    kappa_null.write_text('{"schema": 1, "system": "free", "kappa": [null, 1]}')
+    argv = [a.format(cfg=cfg, extent_cfg=extent_cfg, kappa_text=kappa_text, kappa_null=kappa_null,
+                     csv=tmp_path / "p.csv") for a in argv]
     code, out, err = run(capsys, argv)
     assert code == expected
     assert out == ""
@@ -547,6 +584,16 @@ def test_fast_suites_pass(capsys, suite):
     assert report["passed"] is True
     assert all(row["pass"] for row in report["checks"])
     assert report["suite"] == suite
+
+
+@pytest.mark.parametrize("suite,cutoff,least", [
+    ("algebra", 3, 4), ("continuity", 6, 7), ("symmetry", 2, 7), ("povm", 6, 7),
+])
+def test_suites_refuse_a_cutoff_without_room_for_their_sample_states(capsys, suite, cutoff, least):
+    code, out, err = run(capsys, ["check", "--suite", suite, "--cutoff", str(cutoff)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"use --cutoff {least} or more" in err
 
 
 @pytest.mark.parametrize("theta", ["3", "100", "1e8"])

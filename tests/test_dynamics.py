@@ -34,8 +34,10 @@ from ncqm import (
     interior_residual,
     plane_wave,
     solve_spectrum,
+    spectrum_levels,
     vec,
 )
+from ncqm import dynamics
 from conftest import full_state, interior_state
 
 FREE = HamiltonianSpec("free")
@@ -210,6 +212,37 @@ def test_spectrum_count_validation(ctx12):
         solve_spectrum(h, 12 * 12 + 1)
     with pytest.raises(UsageError):
         solve_spectrum(SuperOperator([(np.eye(4, dtype=complex), np.eye(4, dtype=complex))]), 1)
+
+
+def test_spectrum_levels_builds_only_what_is_read(monkeypatch):
+    # three levels of the N = 30 oscillator build at most 3 states plus the third level's run
+    h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=30)), OSC)
+    vals = np.sort(np.concatenate([w for _, _, w, _ in dynamics._eig_cached(h)]))
+    ctol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
+    lo = hi = 2
+    while lo > 0 and vals[lo] - vals[lo - 1] < ctol:
+        lo -= 1
+    while hi + 1 < len(vals) and vals[hi + 1] - vals[hi] < ctol:
+        hi += 1
+    built = []
+    phase_fixed = dynamics._phase_fixed
+    monkeypatch.setattr(dynamics, "_phase_fixed", lambda v: built.append(1) or phase_fixed(v))
+    stream = spectrum_levels(h)
+    first = [next(stream) for _ in range(3)]
+    assert 3 <= len(built) <= 3 + (hi - lo + 1)
+
+    res = solve_spectrum(h, 3)  # the same levels, field by field
+    assert [float(e) for e, _, _, _ in first] == res.eigenvalues.tolist()
+    assert [lz for _, _, lz, _ in first] == res.lz_expectations.tolist()
+    assert [w for _, _, _, w in first] == res.boundary_weights.tolist()
+    for (_, state, _, _), other in zip(first, res.eigenstates):
+        assert np.array_equal(state.op, other.op)
+
+
+def test_spectrum_levels_refuses_a_non_hamiltonian_on_first_next():
+    stream = spectrum_levels(SuperOperator([(np.eye(4, dtype=complex), np.eye(4, dtype=complex))]))
+    with pytest.raises(UsageError):
+        next(stream)
 
 
 # ---------------------------------------------------------------- class blocks vs dense oracle
