@@ -79,8 +79,8 @@ class HamiltonianSpec:
             if self.potential_coeffs is None:
                 raise ValidationError("kind='potential' needs a potential_coeffs table")
             table = np.asarray(self.potential_coeffs, dtype=complex)
-            if table.ndim != 2 or table.shape[0] != table.shape[1]:
-                raise ValidationError(f"potential_coeffs must be a square table, got {table.shape}")
+            if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+                raise ValidationError(f"potential_coeffs must be a nonempty square table, got {table.shape}")
             _require_hermitian(table, ValidationError, "potential table (v_mn = conj(v_nm))")
             object.__setattr__(self, "potential_coeffs", table)
         elif self.potential_coeffs is not None:
@@ -184,44 +184,61 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * (v[pivot] / abs(v[pivot])).conjugate()
 
 
-def _class_blocks(h: Hamiltonian) -> list:
-    """H split into the classes of matrix units it never mixes, each block diagonalized.
+def _class_blocks(h: Hamiltonian) -> tuple:
+    """H split into the classes of matrix units it never mixes, each block diagonalized into one stack.
 
     The kinetic terms keep k = m - l of the unit |m><l| and the potential term
     (b^dag)^p b^q shifts k by p - q, so H keeps k modulo g, the gcd of |m - n|
     over the nonzero off-diagonal v_matrix[m, n].  With g = 0 (free, oscillator,
-    diagonal tables) each sector k is a class labelled exactly -hbar k; else
-    the g classes k mod g have label None.  A class holds its units in vec
-    order; its block, block[i, j] = sum_t L_t[m_i, m_j] R_t[l_j, l_i], comes
-    from H's own terms with no N^2 x N^2 matrix, and np.linalg.eigh solves it,
-    in real arithmetic when its imaginary part is exactly zero.  A block that
-    is not Hermitian raises ConsistencyError.
+    diagonal tables) each sector k is a class labelled exactly -hbar k, and slot
+    c holds sectors c and c - N, the N units |(l + c) mod N><l| in the order of
+    l; else the g classes k mod g have label None, one per slot, padded to the
+    largest.  A class's block, block[i, j] = sum_t L_t[m_i, m_j] R_t[l_j, l_i]
+    over its units in vec order, comes from H's terms with no N^2 x N^2 matrix
+    (from their real parts if none has an imaginary part: (a + 0i)(b + 0i) = ab)
+    and np.linalg.eigh solves it into its slot, in real arithmetic if its
+    imaginary part is exactly zero.  A non-Hermitian block raises ConsistencyError.
     """
     n = h.cutoff
     rows, cols = np.nonzero(h.v_matrix)
     g = math.gcd(*np.abs(rows - cols).tolist())
     m, l = np.divmod(np.arange(n * n), n)
-    k = m - l if g == 0 else (m - l) % g
+    terms = h.terms
+    if not any(left.imag.any() or right.imag.any() for left, right in terms):
+        terms = [(left.real, right.real) for left, right in terms]
+    if g == 0:  # sector k sits in slot k mod N at its units' l, which run over a range
+        idx = ((m + l) % n * n + l).reshape(n, n)
+        where = {k: (k % n, slice(max(-k, 0), n - max(k, 0))) for k in range(1 - n, n)}
+    else:  # class c fills slot c in vec order; the rest of the slot is padding at index N^2
+        k = (m - l) % g
+        size = np.bincount(k)
+        idx = np.full((g, size.max()), n * n)
+        where = {c: (c, slice(0, size[c])) for c in range(g)}
+        for c, (slot, pos) in where.items():
+            idx[slot, pos] = np.flatnonzero(k == c)
     # a sector's m and l run over contiguous ranges, so its blocks are basic slices
     key = (lambda i: (slice(i[0], i[-1] + 1),) * 2) if g == 0 else (lambda i: np.ix_(i, i))
+    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=terms[0][0].dtype)
     blocks = []
-    for c in np.unique(k):
-        idx = np.flatnonzero(k == c)
-        mi, li = key(m[idx]), key(l[idx])
-        block = sum(left[mi] * right[li].T for left, right in h.terms)
+    for c, (slot, pos) in where.items():
+        i = idx[slot, pos]
+        mi, li = key(m[i]), key(l[i])
+        block = sum(left[mi] * right[li].T for left, right in terms)
         _require_hermitian(block, ConsistencyError, "Hamiltonian block")
         if not block.imag.any():
             block = block.real
+        w[slot, pos], v[slot, pos, pos] = np.linalg.eigh(block)
         label = h.ctx.params.hbar * -int(c) if g == 0 else None
-        blocks.append((idx, label, *np.linalg.eigh(block)))
-    return blocks
+        blocks.append((i, label, w[slot, pos], v[slot, pos, pos]))
+    return idx, w, v, blocks
 
 
-def _eig_cached(h: Hamiltonian) -> list:
+def _eig_cached(h: Hamiltonian) -> tuple:
     """The one eigendecomposition of H, computed on first use; spectrum_levels and evolve share it.
 
-    The blocks of _class_blocks: (vec indices, label, eigenvalues ascending,
-    eigenvectors as columns).
+    (idx, w, v, blocks): evolve's slots x L vec indices, eigenvalues and L x L
+    eigenvectors as columns (padding has index N^2, w = 0 and a zero row and
+    column), and per class spectrum_levels' views (vec indices, label, w, v).
     """
     with h._lock:
         if h._eig is None:
@@ -256,7 +273,7 @@ def spectrum_levels(h: Hamiltonian):
     if not isinstance(h, Hamiltonian):
         raise UsageError("spectrum_levels needs a Hamiltonian built by hamiltonian()")
     n = h.cutoff
-    blocks = _eig_cached(h)
+    *_, blocks = _eig_cached(h)
     vals = np.concatenate([w for _, _, w, _ in blocks])
     where = [(b, q) for b, (_, _, w, _) in enumerate(blocks) for q in range(len(w))]
     order = np.argsort(vals, kind="stable")
@@ -303,30 +320,36 @@ def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:
     return SpectrumResult(np.array(vals), list(states), np.array(lzs), np.array(weights))
 
 
-def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
-    """exp(-i H t / hbar) psi0, block by block through the class blocks of _eig_cached.
+def _stack_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v @ x slot by slot in one matmul; a real v acts on x's (re, im) pairs and is never cast."""
+    if v.dtype.kind == "c":
+        return np.matmul(v, x[..., None])[..., 0]
+    return np.matmul(v, x.view(float).reshape(*x.shape, 2)).view(complex)[..., 0]
 
-    Each class of psi0 evolves on its own, with no N^2 x N^2 matrix: O(N^3) in
-    all when v_matrix is diagonal (2N-1 sectors).  The blocks are shared with
-    spectrum_levels and read-only, so repeated and concurrent calls are cheap
-    and safe.  Unitarity is exact up to roundoff for any real t.  Raises
-    NumericalError when a phase w t / hbar is not finite (a t so large that it
-    overflows).
+
+def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
+    """exp(-i H t / hbar) psi0: one gather, V^dag, phases, V and one scatter over the stack of _eig_cached.
+
+    No loop over classes and no N^2 x N^2 matrix: O(N^3) in all when v_matrix
+    is diagonal (N slots of N units).  The stack is shared with spectrum_levels
+    and never written, so repeated and concurrent calls are cheap and safe.
+    Unitarity is exact up to roundoff for any real t.  Raises NumericalError
+    when a phase w t / hbar is not finite (a t so large that it overflows).
     """
     if not isinstance(h, Hamiltonian):
         raise UsageError("evolve needs a Hamiltonian built by hamiltonian()")
     if psi0.cutoff != h.cutoff:
         raise UsageError(f"cutoff mismatch: Hamiltonian {h.cutoff}, state {psi0.cutoff}")
-    hbar = h.ctx.params.hbar
-    psi = vec(psi0.op)
-    out = np.empty_like(psi)
+    idx, w, v, _ = _eig_cached(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, _, w, v in _eig_cached(h):
-            phase = -1j * w * t / hbar
-            if not np.isfinite(phase).all():
-                raise NumericalError(f"the phase w t / hbar overflows double precision at t = {t}")
-            out[idx] = v @ (np.exp(phase) * (v.conj().T @ psi[idx]))
-    return QuantumState(unvec(out, h.cutoff))
+        phase = -1j * w * t / h.ctx.params.hbar
+    if not np.isfinite(phase).all():
+        raise NumericalError(f"the phase w t / hbar overflows double precision at t = {t}")
+    psi = np.append(vec(psi0.op), 0.0)[idx]  # a padded entry reads the zero at vec index N^2
+    coeffs = np.exp(phase) * _stack_product(v.mT, psi.conj()).conj()  # V^dag psi, V never copied
+    out = np.empty(h.cutoff**2 + 1, dtype=complex)
+    out[idx] = _stack_product(v, coeffs)
+    return QuantumState(unvec(out[:-1], h.cutoff))
 
 
 def boundary_defect_depth(kappa: complex, cutoff: int, tol: float = 1e-9) -> int:
@@ -358,6 +381,8 @@ def plane_wave(ctx: FockContext, kappa: complex) -> tuple[QuantumState, float]:
     """
     kappa = complex(kappa)
     n = ctx.cutoff
+    if not math.isfinite(abs(kappa) * abs(kappa)):
+        raise NumericalError(f"|kappa|^2 is not a finite float at kappa = {kappa}")
     gauge = abs(kappa) ** 2 * n
     if gauge > 4.0:
         raise TruncationError(

@@ -39,6 +39,7 @@ from .core import (
     ConvergenceError,
     FockContext,
     MeasurementImpossibleError,
+    NumericalError,
     QuantumState,
     TruncationError,
     UsageError,
@@ -82,11 +83,15 @@ def coherent_tail(cutoff: int, z: complex, level: int) -> float:
     For mu = |z|^2 <= level the positive terms are summed upward from k = level
     until they fall below 1e-17 of the sum; above it the tail is at least about
     1/2, so it is 1 minus the lower sum over k < level, summed downward from
-    its largest term.  Underflows to 0 far below 1e-280.
+    its largest term.  Underflows to 0 far below 1e-280.  A z whose |z|^2 is
+    not a finite float (|z| from about 1.34e154, or NaN) raises NumericalError.
     """
     if level <= 0:
         return 1.0
-    mu = abs(complex(z)) ** 2
+    r = abs(complex(z))
+    if not math.isfinite(r * r):
+        raise NumericalError(f"|z|^2 is not a finite float at z = {z}")
+    mu = r**2
     if mu == 0.0:
         return 0.0
     if mu <= level:
@@ -405,9 +410,9 @@ def povm_identity_residual(
     |z><z| / (2 pi theta) gives the same residual.  Limited by quadrature
     extent/step, not by the POVM itself.
     """
-    if points < 2 or not (1 <= span <= ctx.cutoff):
-        raise UsageError(f"need points >= 2 and span in 1 .. {ctx.cutoff}, "
-                         f"got points {points}, span {span}")
+    if points < 2 or not (1 <= span <= ctx.cutoff) or not math.isfinite(extent):
+        raise UsageError(f"need points >= 2, span in 1 .. {ctx.cutoff} and a finite extent, "
+                         f"got points {points}, span {span}, extent {extent}")
     xs = np.linspace(-extent, extent, points)
     w1 = np.full(points, xs[1] - xs[0])
     w1[0] *= 0.5

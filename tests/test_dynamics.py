@@ -93,6 +93,8 @@ def test_spec_potential_table_rules():
         HamiltonianSpec("potential")
     with pytest.raises(ValidationError, match="square"):
         HamiltonianSpec("potential", potential_coeffs=np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="nonempty"):
+        HamiltonianSpec("potential", potential_coeffs=np.zeros((0, 0)))
     with pytest.raises(ValidationError, match="Hermitian"):
         HamiltonianSpec("potential", potential_coeffs=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError, match="no potential"):
@@ -217,7 +219,7 @@ def test_spectrum_count_validation(ctx12):
 def test_spectrum_levels_builds_only_what_is_read(monkeypatch):
     # three levels of the N = 30 oscillator build at most 3 states plus the third level's run
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=30)), OSC)
-    vals = np.sort(np.concatenate([w for _, _, w, _ in dynamics._eig_cached(h)]))
+    vals = np.sort(np.concatenate([w for _, _, w, _ in dynamics._eig_cached(h)[-1]]))
     ctol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
     lo = hi = 2
     while lo > 0 and vals[lo] - vals[lo - 1] < ctol:
@@ -452,17 +454,52 @@ def test_sector_route_builds_no_dense_matrix_at_cutoff_160(monkeypatch):
     ("potential", linear_x1_table(0.5), ModelParams(theta=0.1, cutoff=10)),
     ("potential", complex_table(), ModelParams(theta=0.1, cutoff=10)),
     ("oscillator", None, ModelParams(theta=0.7, hbar=1.3, mass=0.8, omega=1.7, cutoff=10)),
+    # odd N: the two classes k mod 2 hold 61 and 60 units, so the smaller one is padded
+    ("potential", x1_squared_table(0.1), ModelParams(theta=0.1, cutoff=11)),
+    ("potential", complex_table(), ModelParams(theta=0.1, cutoff=11)),
 ], ids=["free", "oscillator", "diagonal-table", "x1-squared-table", "linear-x1-table",
-        "complex-table", "oscillator-hbar-1.3"])
+        "complex-table", "oscillator-hbar-1.3", "x1-squared-table-odd", "complex-table-odd"])
 def test_evolve_matches_expm_oracle(kind, table, params, monkeypatch):
     h = hamiltonian(build_fock(params), HamiltonianSpec(kind, potential_coeffs=table))
-    psi = full_state(np.random.default_rng(3), 10)
+    psi = full_state(np.random.default_rng(3), params.cutoff)
     t = 0.7
     with monkeypatch.context() as patch:
         patch.setattr(SuperOperator, "matrix", property(refuse_matrix))
         got = vec(evolve(psi, h, t).op)
     want = scipy.linalg.expm(-1j * np.asarray(h.matrix) * t / params.hbar) @ vec(psi.op)
     assert np.max(np.abs(got - want)) < 1e-11
+
+
+def evolve_by_blocks(psi0, h, t):
+    # the per-class loop the batched product replaced: each class block evolves on its own
+    psi = vec(psi0.op)
+    out = np.empty_like(psi)
+    for idx, _, w, v in dynamics._eig_cached(h)[-1]:
+        out[idx] = v @ (np.exp(-1j * w * t / h.ctx.params.hbar) * (v.conj().T @ psi[idx]))
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [12, 31])
+@pytest.mark.parametrize("spec", [OSC, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1))],
+                         ids=["oscillator", "x1-squared-table"])
+def test_batched_evolve_matches_the_class_loop(spec, cutoff):
+    h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=cutoff)), spec)
+    psi = full_state(np.random.default_rng(6), cutoff)
+    for t in (0.0, 0.7, 9.25):
+        got = vec(evolve(psi, h, t).op)
+        assert np.max(np.abs(got - evolve_by_blocks(psi, h, t))) < 1e-13 * psi.norm
+
+
+@pytest.mark.parametrize("kind", ["free", "oscillator"])
+def test_sector_stack_holds_n_cubed_real_entries(kind):
+    # slot c holds sectors c and c - N, N units in all, so nothing is padded
+    n = 31
+    h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=n)), HamiltonianSpec(kind))
+    idx, w, v, blocks = dynamics._eig_cached(h)
+    assert v.shape == (n, n, n) and v.dtype == float and v.nbytes <= 8 * n**3
+    assert np.array_equal(np.sort(idx, axis=None), np.arange(n * n))
+    assert len(blocks) == 2 * n - 1
+    assert all(np.shares_memory(bv, v) and np.shares_memory(bw, w) for _, _, bw, bv in blocks)
 
 
 def test_evolve_is_unitary_and_additive(ctx12):

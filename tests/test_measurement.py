@@ -14,6 +14,7 @@ from ncqm import (
     GridSpec,
     MeasurementImpossibleError,
     ModelParams,
+    NumericalError,
     QuantumState,
     TruncationError,
     TruncationWarning,
@@ -96,6 +97,18 @@ def test_coherent_tail_matches_mpmath_on_both_branches(level):
                 assert abs(got - want) <= 1e-12 * want, (mu, got, want)
             else:
                 assert got < 1e-280, (mu, got, want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: coherent_tail(12, 1e200, 3),
+    lambda ctx: coherent_state_op(ctx, 1e200),
+    lambda ctx: position_probability(ctx, QuantumState(np.eye(12)), 1e200),
+    lambda ctx: plane_wave(ctx, 1e200),
+], ids=["coherent_tail", "coherent_state_op", "position_probability", "plane_wave"])
+def test_arguments_whose_square_overflows_are_refused(call):
+    # |z|^2 past the largest float is a NumericalError, not Python's OverflowError
+    with pytest.raises(NumericalError, match="not a finite float"):
+        call(build_fock(ModelParams(theta=THETA, cutoff=12)))
 
 
 def test_coherent_state_op_is_normalized_rank_one(ctx16):
@@ -560,3 +573,6 @@ def test_povm_resolves_identity_on_low_levels():
         povm_identity_residual(ctx, 1.0, span=0)
     with pytest.raises(UsageError, match="points"):
         povm_identity_residual(ctx, 1.0, points=1)
+    for extent in (math.nan, math.inf):  # refused, not an unconverged SVD
+        with pytest.raises(UsageError, match="finite extent"):
+            povm_identity_residual(ctx, extent)
