@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,12 @@ def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a fresh array that nothing else references read-only, in place."""
+    a.setflags(write=False)
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     # a frozen array is shared, not copied, if it owns its data: a view could change through its base
     if (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.c_contiguous
@@ -141,22 +148,40 @@ class FockContext:
 
     b is the annihilator, b[n-1, n] = sqrt(n); bdag its conjugate transpose;
     x1 = sqrt(theta/2)(b + bdag) and x2 = i sqrt(theta/2)(bdag - b) the
-    non-commuting coordinates.  All arrays are read-only.
+    non-commuting coordinates.  Each is a read-only N x N array built on its
+    first read and cached: states, densities and the POVM need only N and
+    theta, so a context that only measures never allocates them.
     """
 
     params: ModelParams
-    b: np.ndarray
-    bdag: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
 
     @property
     def cutoff(self) -> int:
         return self.params.cutoff
 
+    @cached_property
+    def b(self) -> np.ndarray:
+        n = self.cutoff
+        b = np.zeros((n, n), dtype=complex)
+        levels = np.arange(1, n)
+        b[levels - 1, levels] = np.sqrt(levels)
+        return _frozen(b)
+
+    @cached_property
+    def bdag(self) -> np.ndarray:
+        return _frozen(np.ascontiguousarray(self.b.conj().T))
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.params.theta / 2.0) * (self.b + self.bdag))
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        return _frozen(1j * np.sqrt(self.params.theta / 2.0) * (self.bdag - self.b))
+
 
 def build_fock(params: ModelParams) -> FockContext:
-    """Build the truncated Fock operators for the given parameters.
+    """The truncated Fock context for the given parameters; no operator is built until read.
 
     Raises ConfigurationError when theta = 0: the representation has
     x_i = 0 and momenta carry 1/theta factors, so the commutative point is
@@ -167,21 +192,7 @@ def build_fock(params: ModelParams) -> FockContext:
             "the Fock representation needs theta > 0; "
             "use the closed-form oscillator layer for the commutative limit"
         )
-    n = params.cutoff
-    b = np.zeros((n, n), dtype=complex)
-    levels = np.arange(1, n)
-    b[levels - 1, levels] = np.sqrt(levels)
-    bdag = b.conj().T
-    scale = np.sqrt(params.theta / 2.0)
-    x1 = scale * (b + bdag)
-    x2 = 1j * scale * (bdag - b)
-    return FockContext(
-        params=params,
-        b=_readonly(b),
-        bdag=_readonly(bdag),
-        x1=_readonly(x1),
-        x2=_readonly(x2),
-    )
+    return FockContext(params)
 
 
 class QuantumState:

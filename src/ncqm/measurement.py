@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_BLOCK = 1 << 20  # entries of the coherent basis evaluated at once, bounding a grid's memory
+_BLOCK = 1 << 16  # coherent-basis entries per block: 1 MiB complex, so a grid's temporaries stay near 1 MB
 
 
 class TruncationWarning(UserWarning):
@@ -371,11 +371,15 @@ def povm_matrix(ctx: FockContext, z: complex) -> np.ndarray:
 
     Left multiplication by |z><z| / (2 pi theta), i.e. kron(v v^dag, I) under
     the vec convention, with v the truncated coherent vector; PSD by
-    construction.
+    construction.  Entry (a N + i, b N + j) is v_a conj(v_b) delta_ij / (2 pi theta),
+    written onto the i = j diagonals of one zeroed array.
     """
     n = ctx.cutoff
     v = coherent_vector(n, z)
-    return np.kron(np.outer(v, v.conj()), np.eye(n)) / (2.0 * math.pi * ctx.params.theta)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    d = np.arange(n)
+    out.reshape(n, n, n, n)[:, d, :, d] = np.outer(v, v.conj()) / (2.0 * math.pi * ctx.params.theta)
+    return out
 
 
 def post_measurement(ctx: FockContext, psi: QuantumState, z: complex) -> QuantumState:
@@ -408,16 +412,21 @@ def povm_identity_residual(
     identity there.  pi_z acts there as kron(|z><z|, I) / (2 pi theta) and
     ||kron(A - I, I)||_2 = ||A - I||_2, so the span x span quadrature of
     |z><z| / (2 pi theta) gives the same residual.  Limited by quadrature
-    extent/step, not by the POVM itself.
+    extent/step, not by the POVM itself.  A NaN or inf extent, or one whose
+    cell area or largest |z|^2 overflows, is a UsageError.
     """
     if points < 2 or not (1 <= span <= ctx.cutoff) or not math.isfinite(extent):
         raise UsageError(f"need points >= 2, span in 1 .. {ctx.cutoff} and a finite extent, "
                          f"got points {points}, span {span}, extent {extent}")
+    theta = ctx.params.theta
+    step = 2.0 * extent / (points - 1)
+    if not (math.isfinite(step * step) and math.isfinite(extent * extent / theta)):
+        raise UsageError(f"extent {extent} is too large: the quadrature's cell area or its largest "
+                         f"|z|^2 = extent^2 / theta is not a finite float")
     xs = np.linspace(-extent, extent, points)
     w1 = np.full(points, xs[1] - xs[0])
     w1[0] *= 0.5
     w1[-1] *= 0.5
-    theta = ctx.params.theta
 
     zs = ((xs[:, None] + 1j * xs[None, :]) / math.sqrt(2.0 * theta)).reshape(-1)
     weights = np.outer(w1, w1).reshape(-1)

@@ -108,6 +108,25 @@ def test_radius_squared_diagonal_and_truncation_value():
     assert diag[-1] == pytest.approx(theta * (n - 1), rel=1e-14)
 
 
+def test_operators_built_on_first_read_match_the_eager_construction():
+    # the eager construction these operators replace, kept as the reference
+    theta, n = 0.3, 13
+    ctx = build_fock(ModelParams(theta=theta, cutoff=n))
+    assert set(ctx.__dict__) == {"params"}
+    b = np.zeros((n, n), dtype=complex)
+    levels = np.arange(1, n)
+    b[levels - 1, levels] = np.sqrt(levels)
+    bdag = b.conj().T
+    scale = np.sqrt(theta / 2.0)
+    want = {"x2": 1j * scale * (bdag - b), "b": b, "x1": scale * (b + bdag), "bdag": bdag}
+    for name, ref in want.items():  # x2 first: it builds b and bdag on the way
+        got = getattr(ctx, name)
+        assert got is getattr(ctx, name)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert set(ctx.__dict__) == {"params", "b", "bdag", "x1", "x2"}
+
+
 def test_context_arrays_are_readonly(ctx01):
     with pytest.raises(ValueError):
         ctx01.b[0, 1] = 0.0

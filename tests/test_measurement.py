@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -509,7 +510,64 @@ def test_grid_bases_stay_under_the_block_cap(monkeypatch):
             assert res.values[i, j] == pytest.approx(position_probability(ctx, psi, z), rel=1e-12)
 
 
+def _traced_peak(fn):
+    """Peak bytes numpy and Python allocate while fn runs; fn's result is dropped inside."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measurement_paths_never_build_the_ladder_operators():
+    ladders = {"b", "bdag", "x1", "x2"}
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=344))
+    ground = ground_state(ctx)
+    excited_state(ctx, 1, 2)
+    coherent = coherent_state_op(ctx, 0.5 - 0.3j)
+    for psi in (ground, coherent):
+        probability_grid(ctx, psi, GridSpec((-1.0, 1.0), (-1.0, 1.0), (9, 9)))
+        position_probability(ctx, psi, 0.2 + 0.1j)
+        post_measurement(ctx, psi, 0.2 + 0.1j)
+    povm_identity_residual(ctx, 5.0 * math.sqrt(THETA))
+    small = build_fock(ModelParams(theta=THETA, cutoff=12))
+    povm_matrix(small, 0.4 + 0.1j)  # an N^4 element: 224 GB at N = 344
+    assert not ladders & set(ctx.__dict__) and not ladders & set(small.__dict__)
+
+
+def test_grid_kernels_allocate_about_a_block():
+    # 15.2 MB and 26.8 MB with 2^20-entry blocks and the ladders built with the context
+    grid = GridSpec((-2.0, 2.0), (-2.0, 2.0), (61, 61))
+
+    def ground():
+        ctx = build_fock(ModelParams(theta=THETA, cutoff=344))
+        probability_grid(ctx, ground_state(ctx), grid)
+
+    def coherent():
+        ctx = build_fock(ModelParams(theta=THETA, cutoff=138))
+        probability_grid(ctx, coherent_state_op(ctx, 1.5 + 0.5j), grid)
+
+    assert _traced_peak(ground) < 6e6
+    assert _traced_peak(coherent) < 6e6
+
+
+def test_povm_matrix_is_its_one_allocation():
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=24))
+    nbytes = 24**4 * 16
+    assert _traced_peak(lambda: povm_matrix(ctx, 0.7 + 0.2j)) < 1.25 * nbytes  # 2.0x as a kron
+
+
 # ---------------------------------------------------------------- POVM
+
+@pytest.mark.parametrize("n", [2, 20, 24, 48])
+def test_povm_matrix_equals_the_kron_form(n):
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=n))
+    for z in (0.0, 0.7 + 0.2j, -1.3 + 0.4j):
+        v = coherent_vector(n, z)
+        want = np.kron(np.outer(v, v.conj()), np.eye(n)) / (2.0 * math.pi * THETA)
+        assert np.array_equal(povm_matrix(ctx, z), want)
+
 
 def test_povm_matrix_is_hermitian_psd(ctx16):
     pi_z = povm_matrix(ctx16, 0.8 - 0.5j)
@@ -576,3 +634,12 @@ def test_povm_resolves_identity_on_low_levels():
     for extent in (math.nan, math.inf):  # refused, not an unconverged SVD
         with pytest.raises(UsageError, match="finite extent"):
             povm_identity_residual(ctx, extent)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extent", [1e160, 1e200, 1e308])
+def test_identity_extents_that_overflow_are_refused(extent):
+    # the cell area or |z|^2 overflows to inf, and inf * 0 used to reach the SVD as NaN
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=12))
+    with pytest.raises(UsageError, match="too large"):
+        povm_identity_residual(ctx, extent)
