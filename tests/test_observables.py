@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncqm import (
+    HamiltonianSpec,
     ModelParams,
     QuantumState,
     SuperOperator,
     angular_momentum,
     build_fock,
+    hamiltonian,
     momentum_ops,
     observables,
     position_ops,
@@ -54,28 +56,40 @@ def test_heisenberg_commutators_on_interior_states(ctx, obs):
 
 
 def test_momenta_match_ladder_commutator_form(ctx, obs):
-    # P1 + iP2 = -i hbar sqrt(2/theta) [b, .], and the P1/P2 recombinations
+    # P1 + iP2 = -i hbar sqrt(2/theta) [b, .] and P1 - iP2 = i hbar sqrt(2/theta) [b^dag, .]
     p1m, p2m = obs.P1.matrix, obs.P2.matrix
-    pm, pdm = obs.P.matrix, obs.Pdag.matrix
-    scale = np.max(np.abs(pm))
-    assert np.max(np.abs(pm - (p1m + 1j * p2m))) < 1e-13 * scale
-    assert np.max(np.abs(pdm - (p1m - 1j * p2m))) < 1e-13 * scale
-    assert np.max(np.abs(p1m - 0.5 * (pm + pdm))) < 1e-13 * scale
-
-    n = ctx.cutoff
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(ctx.cutoff, dtype=complex)
     pref = -1j * ctx.params.hbar * math.sqrt(2.0 / ctx.params.theta)
-    commutator = SuperOperator([(pref * np.array(ctx.b), eye), (-pref * eye, np.array(ctx.b))])
-    assert np.max(np.abs(pm - commutator.matrix)) < 1e-13 * scale
+    for sign, ladder, c in ((1.0, ctx.b, pref), (-1.0, ctx.bdag, -pref)):
+        commutator = SuperOperator([(c * ladder, eye), (-c * eye, ladder)]).matrix
+        scale = np.max(np.abs(commutator))
+        assert np.max(np.abs(p1m + sign * 1j * p2m - commutator)) < 1e-13 * scale
 
 
-def test_hermitian_flag_is_set_at_construction_and_kept_by_real_scaling(obs):
-    for op in (obs.X1, obs.X2, obs.P1, obs.P2, obs.Lz):
-        scaled = -2.5 * op
-        assert op.hermitian_on_Hq and scaled.hermitian_on_Hq
-        assert not (1j * op).hermitian_on_Hq
-        scaled.matrix  # a false flag would raise ConsistencyError here
-    assert not (obs.P.hermitian_on_Hq or obs.B.hermitian_on_Hq)
+def _hermitian_defect(mat):
+    """max |M - M^dag| relative to max(1, max |M|); at most 1e-12 for a Hermitian map."""
+    return np.max(np.abs(mat - mat.conj().T)) / max(1.0, np.max(np.abs(mat)))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_observables_and_hamiltonians_are_hermitian_on_the_state_space(n):
+    theta = 0.1
+    ctx = build_fock(ModelParams(theta=theta, cutoff=n))
+    obs = observables(ctx)
+    x1_sq = np.zeros((3, 3), dtype=complex)  # (theta/2)(b^2 + bdag^2 + 2 bdag b + 1)
+    x1_sq[0, 0] = x1_sq[0, 2] = x1_sq[2, 0] = 0.5 * theta
+    x1_sq[1, 1] = theta
+    complex_table = np.zeros((3, 3), dtype=complex)  # i (bdag^2 - b^2)
+    complex_table[2, 0], complex_table[0, 2] = 1j, -1j
+    specs = (HamiltonianSpec("free"), HamiltonianSpec("oscillator"),
+             HamiltonianSpec("potential", potential_coeffs=x1_sq),
+             HamiltonianSpec("potential", potential_coeffs=complex_table))
+    base = [obs.X1, obs.X2, obs.P1, obs.P2, obs.Lz]
+    ops = (base + [-2.5 * s for s in base] + [time_reverse_conjugate(s) for s in base]
+           + [hamiltonian(ctx, spec) for spec in specs])
+    assert max(_hermitian_defect(s.matrix) for s in ops) <= 1e-12
+    left_b = SuperOperator([(ctx.b, np.eye(n, dtype=complex))])
+    assert _hermitian_defect(left_b.matrix) > 1e-12
 
 
 def test_angular_momentum_composite_identity(ctx, obs):
@@ -99,13 +113,6 @@ def test_angular_momentum_on_interior_matrix_units(ctx):
         unit[m, k] = 1.0
         out = lz.apply(QuantumState(unit)).op
         assert np.max(np.abs(out - hbar * (k - m) * unit)) < 1e-13 * n
-
-
-def test_rotation_generator_matches_radius_square(ctx, obs):
-    r_sq = ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2
-    expected = (-1j / (2.0 * ctx.params.theta)) * r_sq
-    assert np.max(np.abs(obs.ell_z - expected)) == 0.0
-    assert np.max(np.abs(obs.ell_z + obs.ell_z.conj().T)) < 1e-14
 
 
 # ---------------------------------------------------------------- rotations
