@@ -37,107 +37,17 @@ def _apply_thread_env() -> None:
 
 _apply_thread_env()
 
-from .core import (  # noqa: E402
-    ConfigurationError,
-    ConsistencyError,
-    ConvergenceError,
-    DegenerateOscillatorError,
-    FockContext,
-    MeasurementImpossibleError,
-    ModelParams,
-    NcqmError,
-    NumericalError,
-    QuantumState,
-    SuperOperator,
-    TruncationError,
-    UsageError,
-    ValidationError,
-    build_fock,
-    hs_inner,
-    support_weight,
-    unvec,
-    vec,
-)
-from .observables import (  # noqa: E402
-    ObservableSet,
-    angular_momentum,
-    momentum_ops,
-    observables,
-    position_ops,
-    rotate,
-    time_reverse,
-    time_reverse_conjugate,
-)
-from .oscillator import (  # noqa: E402
-    BogoliubovResult,
-    alpha,
-    bogoliubov_transform,
-    energy,
-    excited_state,
-    ground_probability,
-    ground_state,
-    ground_tail_weight,
-    k_norms,
-    ladder_ops,
-    lambdas,
-)
-from .dynamics import (  # noqa: E402
-    Hamiltonian,
-    HamiltonianSpec,
-    SpectrumResult,
-    boundary_defect_depth,
-    continuity_residual,
-    evolve,
-    hamiltonian,
-    interior_residual,
-    plane_wave,
-    solve_spectrum,
-    spectrum_levels,
-)
-from .measurement import (  # noqa: E402
-    GridSpec,
-    ProbabilityGrid,
-    StateSymbol,
-    TruncationWarning,
-    coherent_state_op,
-    coherent_tail,
-    coherent_vector,
-    deriv_z,
-    deriv_zbar,
-    density_series,
-    position_probability,
-    post_measurement,
-    povm_identity_residual,
-    povm_matrix,
-    probability_grid,
-    symbol,
-)
+from . import core, dynamics, measurement, observables, oscillator  # noqa: E402
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # core
-    "NcqmError", "ConfigurationError", "UsageError", "ValidationError",
-    "TruncationError", "ConvergenceError", "ConsistencyError",
-    "DegenerateOscillatorError", "MeasurementImpossibleError", "NumericalError",
-    "ModelParams", "FockContext", "QuantumState", "SuperOperator",
-    "build_fock", "hs_inner", "vec", "unvec", "support_weight",
-    # observables
-    "ObservableSet", "observables", "position_ops", "momentum_ops",
-    "angular_momentum", "rotate", "time_reverse", "time_reverse_conjugate",
-    # oscillator
-    "lambdas", "alpha", "k_norms", "energy", "ground_probability",
-    "BogoliubovResult", "bogoliubov_transform", "ladder_ops",
-    "ground_tail_weight", "ground_state", "excited_state",
-    # dynamics
-    "HamiltonianSpec", "Hamiltonian", "SpectrumResult", "hamiltonian",
-    "spectrum_levels", "solve_spectrum", "evolve", "plane_wave", "boundary_defect_depth",
-    "interior_residual", "continuity_residual",
-    # measurement
-    "TruncationWarning", "coherent_vector", "coherent_tail", "coherent_state_op",
-    "StateSymbol", "symbol", "deriv_z", "deriv_zbar", "density_series",
-    "position_probability",
-    "GridSpec", "ProbabilityGrid", "probability_grid", "povm_matrix",
-    "post_measurement", "povm_identity_residual",
-    "__version__",
-]
+# the public surface is each module's own list; built before the star imports
+# below rebind the name observables from the module to its function
+__all__ = [*core.__all__, *dynamics.__all__, *measurement.__all__, *observables.__all__,
+           *oscillator.__all__, "__version__"]
+
+from .core import *  # noqa: E402,F401,F403
+from .dynamics import *  # noqa: E402,F401,F403
+from .measurement import *  # noqa: E402,F401,F403
+from .observables import *  # noqa: E402,F401,F403
+from .oscillator import *  # noqa: E402,F401,F403

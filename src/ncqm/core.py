@@ -126,6 +126,15 @@ def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
 
 
+def _unit_offsets(n: int) -> np.ndarray:
+    """m - l of each matrix unit |m><l| of an N x N state, as an N x N integer array.
+
+    The unit's rotation label: a rotation by phi multiplies it by e^{i phi (m - l)},
+    Lz labels it -hbar (m - l), and a rotation-invariant Hamiltonian never changes it.
+    """
+    return np.subtract.outer(np.arange(n), np.arange(n))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a fresh array that nothing else references read-only, in place."""
     a.setflags(write=False)

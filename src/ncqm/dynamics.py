@@ -38,6 +38,7 @@ from .core import (
     ValidationError,
     _readonly,
     _require_hermitian,
+    _unit_offsets,
     support_weight,
     unvec,
     vec,
@@ -197,8 +198,8 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     imaginary part is exactly zero.  A non-Hermitian block raises ConsistencyError.
     """
     n = h.cutoff
-    rows, cols = np.nonzero(h.v_matrix)
-    g = math.gcd(*np.abs(rows - cols).tolist())
+    offsets = _unit_offsets(n)
+    g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
     m, l = np.divmod(np.arange(n * n), n)
     terms = h.terms
     if not any(left.imag.any() or right.imag.any() for left, right in terms):
@@ -207,7 +208,7 @@ def _class_blocks(h: Hamiltonian) -> tuple:
         idx = ((m + l) % n * n + l).reshape(n, n)
         where = {k: (k % n, slice(max(-k, 0), n - max(k, 0))) for k in range(1 - n, n)}
     else:  # class c fills slot c in vec order; the rest of the slot is padding at index N^2
-        k = (m - l) % g
+        k = offsets.reshape(-1) % g
         size = np.bincount(k)
         idx = np.full((g, size.max()), n * n)
         where = {c: (c, slice(0, size[c])) for c in range(g)}
@@ -276,8 +277,9 @@ def spectrum_levels(h: Hamiltonian):
     order = np.argsort(vals, kind="stable")
     ordered = vals[order]
     ctol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
-    levels = np.arange(n)  # the exact label -hbar (m - l) of each unit |m><l|, vec ordering:
-    label = (h.ctx.params.hbar * (levels[None, :] - levels[:, None])).reshape(-1)
+    # the exact label -hbar (m - l) of each unit |m><l| in vec order; the integers are
+    # negated first, so sector 0 reads +0.0
+    label = (h.ctx.params.hbar * -_unit_offsets(n)).reshape(-1)
     guard = max(n - 4, 0)
 
     i = 0

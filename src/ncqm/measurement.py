@@ -43,6 +43,7 @@ from .core import (
     QuantumState,
     TruncationError,
     UsageError,
+    _unit_offsets,
 )
 
 __all__ = [
@@ -247,10 +248,12 @@ def _in_blocks(points: np.ndarray, n: int, reduce) -> np.ndarray:
                            for s in range(0, len(points), step)])
 
 
-def _radial_densities(rows: np.ndarray, vals: np.ndarray, n: int, zs: np.ndarray) -> np.ndarray:
-    """sum_m |psi_m,m-d|^2 |g_m(|z|)|^2, given the one-diagonal psi's nonzero vals and their rows."""
+def _radial_densities(psi_op: np.ndarray, d: int, zs: np.ndarray) -> np.ndarray:
+    """sum_m |psi_m,m-d|^2 |g_m(|z|)|^2 for a psi on the diagonal m - l = d."""
+    n = psi_op.shape[0]
+    vals = np.diagonal(psi_op, -d)  # psi_m,m-d for m in max(d, 0) .. n + min(d, 0) - 1
     w = np.zeros(n)
-    w[rows] = vals.real**2 + vals.imag**2
+    w[max(d, 0) : n + min(d, 0)] = vals.real**2 + vals.imag**2
     radii, inv = np.unique(np.abs(zs), return_inverse=True)
     return _in_blocks(radii, n, lambda a: a**2 @ w)[inv]
 
@@ -273,11 +276,9 @@ def _densities(psi_op: np.ndarray, zs: np.ndarray) -> np.ndarray:
     density depends on |z| alone; it is evaluated once per distinct radius.  The
     route reads the exact zeros of psi, with no tolerance.
     """
-    n = psi_op.shape[0]
-    flat = np.flatnonzero(psi_op != 0)
-    rows, cols = np.divmod(flat, n)
-    if np.all(rows - cols == rows[:1] - cols[:1]):
-        return _radial_densities(rows, psi_op.flat[flat], n, zs)
+    d = _unit_offsets(psi_op.shape[0])[psi_op != 0]
+    if np.all(d == d[:1]):  # the zero state too: d is empty, and any diagonal reads zeros
+        return _radial_densities(psi_op, int(d[0]) if d.size else 0, zs)
     return _projector_densities(psi_op, zs)
 
 

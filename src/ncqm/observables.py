@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FockContext, QuantumState, SuperOperator
+from .core import FockContext, QuantumState, SuperOperator, _unit_offsets
 
 __all__ = [
     "ObservableSet",
@@ -88,10 +88,7 @@ def rotate(psi: QuantumState, phi: float) -> QuantumState:
     psi_mn -> exp(i phi (m - n)) psi_mn; the half-integer shifts cancel and the
     norm is preserved exactly.
     """
-    n = psi.cutoff
-    levels = np.arange(n)
-    phase = np.exp(1j * phi * (levels[:, None] - levels[None, :]))
-    return QuantumState(phase * psi.op)
+    return QuantumState(np.exp(1j * phi * _unit_offsets(psi.cutoff)) * psi.op)
 
 
 def time_reverse(psi: QuantumState) -> QuantumState:

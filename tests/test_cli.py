@@ -48,6 +48,8 @@ def run_json(capsys, argv):
         ["evolve", "--format", "json"],
         ["evolve", "--state", "excited:1"],
         ["evolve", "--state", "nonsense"],
+        ["evolve", "--kappa", "0.2"],
+        ["spectrum", "--kappa", "0.2"],
     ],
     ids=[
         "no-command",
@@ -62,6 +64,8 @@ def run_json(capsys, argv):
         "format-is-spectrum-only",
         "malformed-excited",
         "unknown-selector",
+        "kappa-is-spectrum-only",
+        "kappa-is-free-only",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -98,8 +102,9 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     ("evolve", '{"schema": 1, "system": "bad"}', "system"),
     ("spectrum", '{"schema": 1, "theta": true, "levels": true}', "theta"),
     ("check", '{"schema": 1, "suite": "algebra", "seed": false}', "seed"),
+    ("check", '{"schema": 1, "suite": "nope"}', "suite"),
 ], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system",
-        "spectrum-theta-bool", "check-seed-bool"])
+        "spectrum-theta-bool", "check-seed-bool", "check-suite"])
 def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
@@ -453,8 +458,8 @@ def test_evolve_default_report(capsys):
     assert 0.0 < report["overlap_abs"] <= 1.0 + 1e-12
 
 
-def test_evolve_free_kappa_shorthand(capsys):
-    report = run_json(capsys, ["evolve", "--system", "free", "--kappa", "0.2", "--time", "1.0"])
+def test_evolve_free_plane_wave_state(capsys):
+    report = run_json(capsys, ["evolve", "--system", "free", "--state", "plane:0.2", "--time", "1.0"])
     assert report["state"] == "plane:0.2"
     assert report["params"]["cutoff"] == 40
     assert report["norm_drift"] < 1e-10
@@ -519,7 +524,7 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["evolve", "--state", "coherent:nan"], 2),
     (["evolve", "--state", "coherent:inf"], 2),
     (["evolve", "--state", "coherent:1,nan"], 2),
-    (["evolve", "--system", "free", "--kappa", "nan"], 2),
+    (["evolve", "--system", "free", "--state", "plane:nan"], 2),
     (["spectrum", "--system", "free", "--kappa", "nan,0"], 2),
     (["probability", "--state", "plane:nan", "--points", "5", "--out", "{csv}"], 2),
     (["probability", "--points", "5", "--theta", "1e-300", "--out", "{csv}"], 2),  # needs cutoff 3.04e+301

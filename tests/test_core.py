@@ -1,6 +1,8 @@
 """State space, superoperator plumbing, and the vectorization convention."""
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -324,3 +326,20 @@ def test_support_weight_validation(rng):
         support_weight(psi, -1)
     with pytest.raises(UsageError):
         support_weight(QuantumState(np.zeros((6, 6))), 2)
+
+
+# ---------------------------------------------------------------- package surface
+
+def test_package_exports_each_module_list_once():
+    import ncqm
+    from ncqm import core, dynamics, measurement, oscillator
+
+    obs = sys.modules["ncqm.observables"]
+    modules = (core, dynamics, measurement, obs, oscillator)
+    assert ncqm.__all__ == [name for mod in modules for name in mod.__all__] + ["__version__"]
+    assert len(set(ncqm.__all__)) == len(ncqm.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(ncqm, name) is getattr(mod, name), name
+    assert ncqm.observables is obs.observables  # the function, not its module
+    assert isinstance(ncqm.core, types.ModuleType)
