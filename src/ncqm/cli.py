@@ -107,6 +107,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
     opts = {key: default for key, (commands, default, _) in _FLAGS.items() if command in commands}
     cfg = _load_config(args.config) if args.config else {}
+    foreign = sorted(set(cfg) - set(opts) - {"schema"})
+    if foreign:  # a flag of another command, refused as argparse refuses it on the command line
+        raise UsageError(f"config key {foreign[0]!r} does not apply to {command}")
     for key in opts:
         if cfg.get(key) is not None:
             opts[key] = _config_value(key, cfg[key])

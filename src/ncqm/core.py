@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,13 +126,15 @@ def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
 
 
+@lru_cache(maxsize=4)
 def _unit_offsets(n: int) -> np.ndarray:
-    """m - l of each matrix unit |m><l| of an N x N state, as an N x N integer array.
+    """m - l of each matrix unit |m><l| of an N x N state, as a read-only N x N integer array.
 
     The unit's rotation label: a rotation by phi multiplies it by e^{i phi (m - l)},
     Lz labels it -hbar (m - l), and a rotation-invariant Hamiltonian never changes it.
+    Built once per N, since pointwise densities read it on every call.
     """
-    return np.subtract.outer(np.arange(n), np.arange(n))
+    return _frozen(np.subtract.outer(np.arange(n), np.arange(n)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

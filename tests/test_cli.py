@@ -103,8 +103,9 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     ("spectrum", '{"schema": 1, "theta": true, "levels": true}', "theta"),
     ("check", '{"schema": 1, "suite": "algebra", "seed": false}', "seed"),
     ("check", '{"schema": 1, "suite": "nope"}', "suite"),
+    ("evolve", '{"schema": 1, "system": "free", "kappa": 0.2}', "kappa"),
 ], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system",
-        "spectrum-theta-bool", "check-seed-bool", "check-suite"])
+        "spectrum-theta-bool", "check-seed-bool", "check-suite", "evolve-kappa"])
 def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)

@@ -343,3 +343,13 @@ def test_package_exports_each_module_list_once():
             assert getattr(ncqm, name) is getattr(mod, name), name
     assert ncqm.observables is obs.observables  # the function, not its module
     assert isinstance(ncqm.core, types.ModuleType)
+
+
+def test_unit_offsets_are_built_once_per_cutoff_and_read_only():
+    from ncqm.core import _unit_offsets
+
+    offsets = _unit_offsets(7)
+    assert offsets is _unit_offsets(7)
+    assert not offsets.flags.writeable
+    m, l = np.indices((7, 7))
+    np.testing.assert_array_equal(offsets, m - l)
