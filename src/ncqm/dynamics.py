@@ -191,43 +191,54 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     diagonal tables) each sector k is a class labelled exactly -hbar k, and slot
     c holds sectors c and c - N, the N units |(l + c) mod N><l| in the order of
     l; else the g classes k mod g have label None, one per slot, padded to the
-    largest.  A class's block, block[i, j] = sum_t L_t[m_i, m_j] R_t[l_j, l_i]
-    over its units in vec order, comes from H's terms with no N^2 x N^2 matrix
-    (from their real parts if none has an imaginary part: (a + 0i)(b + 0i) = ab)
-    and np.linalg.eigh solves it into its slot, in real arithmetic if its
-    imaginary part is exactly zero.  A non-Hermitian block raises ConsistencyError.
+    largest.  A block sums, term by term and with no N^2 x N^2 matrix, the
+    products L[p, q] R[r, s] of each term (L, R)'s nonzeros, which take |q><r| to
+    |p><s| (from the real parts if no term has an imaginary part: (a + 0i)(b + 0i)
+    = ab); np.linalg.eigh solves it into its slot, in real arithmetic if its
+    imaginary part is exactly zero.  The hops are each other's adjoints, so H is
+    Hermitian iff c r^2 + V and c r^2 are; a defect there, or a product joining
+    two classes, raises ConsistencyError.
     """
     n = h.cutoff
     offsets = _unit_offsets(n)
     g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
-    m, l = np.divmod(np.arange(n * n), n)
     terms = h.terms
+    _require_hermitian(np.stack((terms[0][0], terms[1][1])), ConsistencyError, "Hamiltonian")
     if not any(left.imag.any() or right.imag.any() for left, right in terms):
         terms = [(left.real, right.real) for left, right in terms]
-    if g == 0:  # sector k sits in slot k mod N at its units' l, which run over a range
-        idx = ((m + l) % n * n + l).reshape(n, n)
-        where = {k: (k % n, slice(max(-k, 0), n - max(k, 0))) for k in range(1 - n, n)}
-    else:  # class c fills slot c in vec order; the rest of the slot is padding at index N^2
-        k = offsets.reshape(-1) % g
-        size = np.bincount(k)
-        idx = np.full((g, size.max()), n * n)
-        where = {c: (c, slice(0, size[c])) for c in range(g)}
-        for c, (slot, pos) in where.items():
-            idx[slot, pos] = np.flatnonzero(k == c)
-    # a sector's m and l run over contiguous ranges, so its blocks are basic slices
-    key = (lambda i: (slice(i[0], i[-1] + 1),) * 2) if g == 0 else (lambda i: np.ix_(i, i))
-    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=terms[0][0].dtype)
+    # each unit's block (sector k = 1 - N .. N - 1, or class k mod g) and its place there in vec order
+    cls = (offsets + (n - 1) if g == 0 else offsets % g).reshape(-1)
+    size = np.bincount(cls)
+    units = np.argsort(cls, kind="stable")
+    pos = np.empty_like(units)
+    pos[units] = np.arange(n * n) - np.repeat(np.cumsum(size) - size, size)
+    nz = [(np.nonzero(left), np.nonzero(right), left, right) for left, right in terms]
+    rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _), (_, s), _, _ in nz])
+    cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q), (r, _), _, _ in nz])
+    vals = np.concatenate([np.multiply.outer(L[p, q], R[r, s]).ravel() for (p, q), (r, s), L, R in nz])
+    block = cls[rows]
+    if (block != cls[cols]).any():
+        raise ConsistencyError("a Hamiltonian term joins matrix units of two classes")
+    # grouped by block in the terms' order; a complex product is binned as its (re, im) pair
+    order = np.argsort(block, kind="stable")
+    width = 2 if vals.dtype.kind == "c" else 1
+    bins = ((pos[rows] * size[block] + pos[cols])[order, None] * width + np.arange(width)).ravel()
+    cuts = width * np.cumsum(np.bincount(block, minlength=len(size)))[:-1]
+    idx = np.full((n, n) if g == 0 else (g, size.max()), n * n)
+    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
     blocks = []
-    for c, (slot, pos) in where.items():
-        i = idx[slot, pos]
-        mi, li = key(m[i]), key(l[i])
-        block = sum(left[mi] * right[li].T for left, right in terms)
-        _require_hermitian(block, ConsistencyError, "Hamiltonian block")
-        if not block.imag.any():
-            block = block.real
-        w[slot, pos], v[slot, pos, pos] = np.linalg.eigh(block)
-        label = h.ctx.params.hbar * -int(c) if g == 0 else None
-        blocks.append((i, label, w[slot, pos], v[slot, pos, pos]))
+    parts = zip(np.split(units, np.cumsum(size)[:-1]), np.split(bins, cuts),
+                np.split(vals[order].view(float), cuts))
+    for b, (i, b_bins, b_weights) in enumerate(parts):
+        # sector k = b - (N - 1) sits in slot k mod N at its units' l; class b fills slot b, padded at N^2
+        k = b - (n - 1)
+        slot, at = (k % n, slice(max(-k, 0), n - max(k, 0))) if g == 0 else (b, slice(0, i.size))
+        mat = np.bincount(b_bins, b_weights, width * i.size**2).view(vals.dtype).reshape(i.size, i.size)
+        if not mat.imag.any():
+            mat = mat.real
+        idx[slot, at] = i
+        w[slot, at], v[slot, at, at] = np.linalg.eigh(mat)
+        blocks.append((i, h.ctx.params.hbar * -k if g == 0 else None, w[slot, at], v[slot, at, at]))
     return idx, w, v, blocks
 
 
@@ -295,7 +306,8 @@ def spectrum_levels(h: Hamiltonian):
             vecs = v[:, cols]
             if lz is None:  # diagonalize the label over the block's columns in the run
                 label_block = vecs.conj().T @ (label[idx, None] * vecs)
-                lzs, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
+                lzs, rot = ((label_block.real[0], np.eye(1)) if len(cols) == 1  # what eigh returns for 1 x 1
+                            else np.linalg.eigh(0.5 * (label_block + label_block.conj().T)))
                 vecs = vecs @ rot
             else:  # every state of a sector carries its exact label
                 lzs = [lz] * len(cols)

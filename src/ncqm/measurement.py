@@ -217,22 +217,29 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
     density.  The sum stops after three negligible terms in a row, but not
     before term k reaches the last nonzero entry of row 0 of psi: at z = 0
     term k is exactly |psi_0k|^2, and near it the leading terms underflow, so
-    zero terms before then are not convergence.  Raises ConvergenceError when
-    the series does not settle within max_terms terms.
+    zero terms before then are not convergence.  A value known within sqrt(floor)
+    puts its term within 2 sqrt(term floor) + floor, plus the term if dropped;
+    raises ConvergenceError when these add up to more than 1e-8 of the sum (as
+    for |0><79| at N = 80 and z = 2.2 + 1j, where cancellation swamps the
+    density) or when the series does not settle within max_terms terms.
     """
     z = complex(z)
     row0 = np.flatnonzero(psi.op[0])
     last = row0[-1] if row0.size else 0
     sym = symbol(psi)
-    total = 0.0
+    total = error = 0.0
     below = 0
     for k in range(max_terms + 1):
         term = abs(sym(z)) ** 2
         floor = (16.0 * _EPS * abs(StateSymbol(np.abs(sym.table))(abs(z)))) ** 2
+        error += 2.0 * math.sqrt(term * floor) + floor + (0.0 if term > floor else term)
         if term > floor:
             total += term
         below = below + 1 if term <= max(1e-14 * total, floor) else 0
         if below >= 3 and k >= last:
+            if error > 1e-8 * total:
+                raise ConvergenceError(f"density series at z = {z} cancels below roundoff "
+                                       f"(error bound {error:.1e}, sum {total:.1e})")
             return total / (2.0 * math.pi * ctx.params.theta)
         sym = StateSymbol(deriv_z(sym).table / math.sqrt(k + 1))
     raise ConvergenceError(

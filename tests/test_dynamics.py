@@ -389,16 +389,116 @@ def test_off_diagonal_tables_take_the_class_route(ctx12, table, blocks, monkeypa
     assert_matches_dense_oracle(h, res, 40)
 
 
+def test_one_column_runs_read_the_label_without_an_eigh(ctx12, monkeypatch):
+    # every run of the x1^2 table holds one level; the eigh of its 1 x 1 label block, which
+    # the read skips, returns the block's real part and a unit rotation
+    h = hamiltonian(ctx12, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1)))
+    *_, blocks = dynamics._eig_cached(h)
+    calls = _count_eigh(monkeypatch)
+    levels = list(spectrum_levels(h))
+    assert calls == []
+    monkeypatch.undo()
+    label = (h.ctx.params.hbar * -np.subtract.outer(np.arange(12), np.arange(12))).reshape(-1)
+    columns = sorted(((w[q], idx, v[:, [q]]) for idx, _, w, v in blocks for q in range(len(w))),
+                     key=lambda c: c[0])
+    for (e, state, lz, _), (w_q, idx, u) in zip(levels, columns, strict=True):
+        label_block = u.conj().T @ (label[idx, None] * u)
+        lzs, rot = np.linalg.eigh(0.5 * (label_block + label_block.conj().T))
+        op = np.zeros(144, dtype=complex)
+        op[idx] = dynamics._phase_fixed((u @ rot)[:, 0])
+        assert e == w_q and lz == lzs[0]
+        assert np.array_equal(state.op, op.reshape(12, 12))
+
+
 @pytest.mark.parametrize("v", [
-    np.diag(0.1j * np.arange(12)),  # g = 0: refused in a sector block
-    np.eye(12, k=2),  # b^2 without its adjoint: g = 2, refused in a class block
-], ids=["sector", "class"])
+    np.diag(0.1j * np.arange(12)),  # g = 0: sector blocks
+    np.eye(12, k=2),  # b^2 without its adjoint: g = 2, class blocks
+    np.pad([[0.0, 0.3j], [0.0, 0.0]], (0, 10)),  # v_01 = 0.3i with no v_10: g = 1, one complex block
+], ids=["sector", "class", "one-class"])
 def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
     h = Hamiltonian(ctx12, v)
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
         solve_spectrum(h, 1)
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
         evolve(QuantumState(np.eye(12)), h, 1.0)
+
+
+def test_a_term_joining_two_classes_is_refused(ctx12):
+    # the hopping potential b + b^dag mixes neighbouring sectors, but v_matrix names the
+    # free particle's classes, one per sector
+    h = Hamiltonian(ctx12, np.eye(12, k=1) + np.eye(12, k=-1))
+    h.v_matrix = np.zeros((12, 12))
+    with pytest.raises(ConsistencyError, match="two classes"):
+        solve_spectrum(h, 1)
+
+
+def gathered_class_blocks(h):
+    """The class decomposition with each block gathered from all unit pairs of the four terms.
+
+    The assembly that the scatter over the terms' nonzeros replaced, kept as its
+    oracle: (blocks as passed to eigh, (idx, w, v, per-class views)).
+    """
+    n = h.cutoff
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
+    m, l = np.divmod(np.arange(n * n), n)
+    terms = h.terms
+    if not any(left.imag.any() or right.imag.any() for left, right in terms):
+        terms = [(left.real, right.real) for left, right in terms]
+    if g == 0:
+        idx = ((m + l) % n * n + l).reshape(n, n)
+        where = {k: (k % n, slice(max(-k, 0), n - max(k, 0))) for k in range(1 - n, n)}
+    else:
+        k = offsets.reshape(-1) % g
+        size = np.bincount(k)
+        idx = np.full((g, size.max()), n * n)
+        where = {c: (c, slice(0, size[c])) for c in range(g)}
+        for c, (slot, pos) in where.items():
+            idx[slot, pos] = np.flatnonzero(k == c)
+    key = (lambda i: (slice(i[0], i[-1] + 1),) * 2) if g == 0 else (lambda i: np.ix_(i, i))
+    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=terms[0][0].dtype)
+    mats, blocks = [], []
+    for c, (slot, pos) in where.items():
+        i = idx[slot, pos]
+        mi, li = key(m[i]), key(l[i])
+        block = sum(left[mi] * right[li].T for left, right in terms)
+        if not block.imag.any():
+            block = block.real
+        mats.append(block)
+        w[slot, pos], v[slot, pos, pos] = np.linalg.eigh(block)
+        label = h.ctx.params.hbar * -int(c) if g == 0 else None
+        blocks.append((i, label, w[slot, pos], v[slot, pos, pos]))
+    return mats, (idx, w, v, blocks)
+
+
+def _bits(a):
+    return np.asarray(a).dtype.str, np.shape(a), np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("spec,cutoff", [
+    (FREE, 12), (FREE, 31), (OSC, 12), (OSC, 31),
+    (HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1)), 28),
+    # 0.3i (b - b^dag): a linear term, g = 1, one complex block
+    (HamiltonianSpec("potential", potential_coeffs=0.3j * np.array([[0, 1], [-1, 0]])), 12),
+], ids=["free-12", "free-31", "oscillator-12", "oscillator-31", "x1-squared-table-28",
+        "complex-linear-table"])
+def test_scattered_blocks_equal_the_gather_bit_for_bit(spec, cutoff, monkeypatch):
+    h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=cutoff)), spec)
+    mats, want = gathered_class_blocks(h)
+    got_mats = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        got_mats.append(np.array(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    got = dynamics._eig_cached(h)
+    assert [_bits(a) for a in got_mats] == [_bits(a) for a in mats]
+    assert [_bits(a) for a in got[:3]] == [_bits(a) for a in want[:3]]
+    for (i, label, w, v), (want_i, want_label, want_w, want_v) in zip(got[3], want[3], strict=True):
+        assert label == want_label and repr(label) == repr(want_label)
+        assert [_bits(a) for a in (i, w, v)] == [_bits(a) for a in (want_i, want_w, want_v)]
 
 
 @pytest.mark.parametrize("theta", [1e-155, 1e-170])

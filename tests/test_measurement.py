@@ -257,6 +257,22 @@ def test_density_series_cap_raises(ctx16):
         density_series(ctx16, psi, 1.0, max_terms=3)
 
 
+def test_density_series_refuses_a_sum_lost_to_cancellation():
+    # |0><79| at N = 80: the density is e^{-|z|^2} / (2 pi theta), but deep in the chain the
+    # terms cancel below the roundoff floor; at z = 2.2 + 1j the floor drops about as much
+    # mass as the kept terms hold, and at -1.5 + 0.5j the kept terms' roundoff bound alone
+    # is 1.2e-4 of the sum
+    ctx = build_fock(ModelParams(theta=THETA, cutoff=80))
+    psi = unit_matrix_state(80, 0, 79)
+    for z in (2.2 + 1.0j, -1.5 + 0.5j):
+        want = math.exp(-abs(z) ** 2) / (2.0 * math.pi * THETA)
+        assert position_probability(ctx, psi, z) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ConvergenceError, match="cancels below roundoff"):
+            density_series(ctx, psi, z)
+    assert density_series(ctx, psi, 0.4 - 0.3j) == pytest.approx(
+        position_probability(ctx, psi, 0.4 - 0.3j), rel=1e-10)
+
+
 @given(
     st.floats(-6.0, 1.0),
     st.floats(-2.0, 2.0),
