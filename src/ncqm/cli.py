@@ -117,6 +117,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
+    if opts["seed"] < 0:  # numpy's generators take no negative seed
+        given = "config key 'seed'" if args.seed is None else "--seed"
+        raise UsageError(f"{given} must be a non-negative integer, got {opts['seed']}")
     return opts
 
 
@@ -124,8 +127,8 @@ def _config_value(key: str, value):
     """A config value checked as its flag's: converted to the flag's type, or one of its choices.
 
     A value that does not convert, a JSON true or false for a typed key, a
-    non-integral number for an integer key, or a value outside the choices is
-    a UsageError that names the key.
+    non-integral number for an integer key, anything but a string for a path, or
+    a value outside the choices is a UsageError that names the key.
     """
     kwargs = _FLAGS[key][2]
     choices = kwargs.get("choices")
@@ -139,9 +142,9 @@ def _config_value(key: str, value):
     except (TypeError, ValueError, OverflowError):
         converted = None
     if (converted is None or isinstance(value, bool)
-            or (kind is int and isinstance(value, float) and converted != value)):
-        raise UsageError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
+            or (kind is int and isinstance(value, float) and converted != value)
+            or (kind is str and not isinstance(value, str))):
+        raise UsageError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return converted
 
 
@@ -801,7 +804,7 @@ _FLAGS = {
     "omega": (_ALL, 1.0, {"type": float, "help": "oscillator frequency"}),
     "cutoff": (_ALL, None, {"type": int, "help": "Fock-space truncation level"}),
     "seed": (_ALL, 0, {"type": int, "help": "seed for sampled states"}),
-    "out": (_ALL, None, {"help": "output file (default stdout)"}),
+    "out": (_ALL, None, {"type": str, "help": "output file (default stdout)"}),
     "format": (("spectrum",), "json", {"choices": ("json", "csv"), "help": "output format"}),
     "config": (_ALL, None, {"metavar": "FILE", "help": "JSON config file (schema 1); flags win"}),
     "system": (("spectrum", "evolve"), "oscillator",
@@ -817,6 +820,7 @@ _FLAGS = {
 }
 
 _CONFIG_KEYS = {"schema", *_FLAGS} - {"config"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a path string"}
 
 
 def _build_parser() -> argparse.ArgumentParser:

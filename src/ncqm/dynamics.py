@@ -183,62 +183,54 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def _class_blocks(h: Hamiltonian) -> tuple:
-    """H split into the classes of matrix units it never mixes, each block diagonalized into one stack.
+    """H split into the classes of matrix units it never mixes, each block solved in place in one stack.
 
     The kinetic terms keep k = m - l of the unit |m><l| and the potential term
     (b^dag)^p b^q shifts k by p - q, so H keeps k modulo g, the gcd of |m - n|
     over the nonzero off-diagonal v_matrix[m, n].  With g = 0 (free, oscillator,
     diagonal tables) each sector k is a class labelled exactly -hbar k, and slot
-    c holds sectors c and c - N, the N units |(l + c) mod N><l| in the order of
-    l; else the g classes k mod g have label None, one per slot, padded to the
-    largest.  A block sums, term by term and with no N^2 x N^2 matrix, the
-    products L[p, q] R[r, s] of each term (L, R)'s nonzeros, which take |q><r| to
-    |p><s| (from the real parts if no term has an imaginary part: (a + 0i)(b + 0i)
-    = ab); np.linalg.eigh solves it into its slot, in real arithmetic if its
-    imaginary part is exactly zero.  The hops are each other's adjoints, so H is
-    Hermitian iff c r^2 + V and c r^2 are; a defect there, or a product joining
-    two classes, raises ConsistencyError.
+    c holds sectors c and c - N, each unit |m><l| at place l; else the g classes
+    k mod g have label None, one per slot, each unit at its rank in vec order
+    within its class, padded to the largest.  A term (L, R) takes |q><r| to
+    |p><s| with weight L[p, q] R[r, s], so only the products of its nonzeros are
+    formed (from the real parts if no term has an imaginary part: (a + 0i)(b + 0i)
+    = ab), and np.add.at adds each straight into the zeroed eigenvector stack at
+    (slot, place of |p><s|, place of |q><r|), with no N^2 x N^2 matrix.
+    np.linalg.eigh then solves each block where it lies, in real arithmetic if
+    its imaginary part is exactly zero.  The hops are each other's adjoints, so H
+    is Hermitian iff c r^2 + V and c r^2 are; a defect there, or a product joining
+    two classes, raises ConsistencyError before the scatter.
     """
     n = h.cutoff
-    offsets = _unit_offsets(n)
-    g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
+    k = _unit_offsets(n).reshape(-1)
+    g = math.gcd(*np.abs(k[h.v_matrix.reshape(-1) != 0]).tolist())
     terms = h.terms
     _require_hermitian(np.stack((terms[0][0], terms[1][1])), ConsistencyError, "Hamiltonian")
     if not any(left.imag.any() or right.imag.any() for left, right in terms):
         terms = [(left.real, right.real) for left, right in terms]
-    # each unit's block (sector k = 1 - N .. N - 1, or class k mod g) and its place there in vec order
-    cls = (offsets + (n - 1) if g == 0 else offsets % g).reshape(-1)
-    size = np.bincount(cls)
-    units = np.argsort(cls, kind="stable")
-    pos = np.empty_like(units)
-    pos[units] = np.arange(n * n) - np.repeat(np.cumsum(size) - size, size)
+    # each unit's class (sector k, or k mod g), its slot and its place in the slot
+    cls = k if g == 0 else k % g
+    slot, place = cls % (g or n), np.arange(n * n) % n
+    for c in range(g):
+        place[cls == c] = np.arange(np.count_nonzero(cls == c))
     nz = [(np.nonzero(left), np.nonzero(right), left, right) for left, right in terms]
     rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _), (_, s), _, _ in nz])
     cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q), (r, _), _, _ in nz])
     vals = np.concatenate([np.multiply.outer(L[p, q], R[r, s]).ravel() for (p, q), (r, s), L, R in nz])
-    block = cls[rows]
-    if (block != cls[cols]).any():
+    if (cls[rows] != cls[cols]).any():
         raise ConsistencyError("a Hamiltonian term joins matrix units of two classes")
-    # grouped by block in the terms' order; a complex product is binned as its (re, im) pair
-    order = np.argsort(block, kind="stable")
-    width = 2 if vals.dtype.kind == "c" else 1
-    bins = ((pos[rows] * size[block] + pos[cols])[order, None] * width + np.arange(width)).ravel()
-    cuts = width * np.cumsum(np.bincount(block, minlength=len(size)))[:-1]
-    idx = np.full((n, n) if g == 0 else (g, size.max()), n * n)
+    idx = np.full((g or n, place.max() + 1), n * n)
+    idx[slot, place] = np.arange(n * n)
     w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
+    np.add.at(v, (slot[rows], place[rows], place[cols]), vals)
     blocks = []
-    parts = zip(np.split(units, np.cumsum(size)[:-1]), np.split(bins, cuts),
-                np.split(vals[order].view(float), cuts))
-    for b, (i, b_bins, b_weights) in enumerate(parts):
-        # sector k = b - (N - 1) sits in slot k mod N at its units' l; class b fills slot b, padded at N^2
-        k = b - (n - 1)
-        slot, at = (k % n, slice(max(-k, 0), n - max(k, 0))) if g == 0 else (b, slice(0, i.size))
-        mat = np.bincount(b_bins, b_weights, width * i.size**2).view(vals.dtype).reshape(i.size, i.size)
-        if not mat.imag.any():
-            mat = mat.real
-        idx[slot, at] = i
-        w[slot, at], v[slot, at, at] = np.linalg.eigh(mat)
-        blocks.append((i, h.ctx.params.hbar * -k if g == 0 else None, w[slot, at], v[slot, at, at]))
+    for c in range(1 - n, n) if g == 0 else range(g):
+        # sector c sits in slot c mod N at its units' l; class c fills slot c from 0, padded at N^2
+        s = c % (g or n)
+        at = slice(max(-c, 0), n - max(c, 0)) if g == 0 else slice(0, np.count_nonzero(cls == c))
+        mat = v[s, at, at]
+        w[s, at], v[s, at, at] = np.linalg.eigh(mat if mat.imag.any() else mat.real)
+        blocks.append((idx[s, at], h.ctx.params.hbar * -c if g == 0 else None, w[s, at], v[s, at, at]))
     return idx, w, v, blocks
 
 

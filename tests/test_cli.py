@@ -50,6 +50,7 @@ def run_json(capsys, argv):
         ["evolve", "--state", "nonsense"],
         ["evolve", "--kappa", "0.2"],
         ["spectrum", "--kappa", "0.2"],
+        ["check", "--suite", "algebra", "--seed=-1"],
     ],
     ids=[
         "no-command",
@@ -66,6 +67,7 @@ def run_json(capsys, argv):
         "unknown-selector",
         "kappa-is-spectrum-only",
         "kappa-is-free-only",
+        "negative-seed",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -104,8 +106,15 @@ def test_config_file_errors_exit_2(capsys, tmp_path, content):
     ("check", '{"schema": 1, "suite": "algebra", "seed": false}', "seed"),
     ("check", '{"schema": 1, "suite": "nope"}', "suite"),
     ("evolve", '{"schema": 1, "system": "free", "kappa": 0.2}', "kappa"),
+    ("check", '{"schema": 1, "suite": "algebra", "seed": -1}', "seed"),
+    # a number would reach open() as a file descriptor: stderr, stdout, or a bad one
+    ("check", '{"schema": 1, "suite": "algebra", "out": 2}', "out"),
+    ("probability", '{"schema": 1, "points": 5, "out": 1}', "out"),
+    ("evolve", '{"schema": 1, "out": 7}', "out"),
+    ("spectrum", '{"schema": 1, "out": ["a.json"]}', "out"),
 ], ids=["evolve-time", "spectrum-theta", "spectrum-cutoff", "spectrum-format", "evolve-system",
-        "spectrum-theta-bool", "check-seed-bool", "check-suite", "evolve-kappa"])
+        "spectrum-theta-bool", "check-seed-bool", "check-suite", "evolve-kappa", "check-seed-negative",
+        "check-out-stderr", "probability-out-stdout", "evolve-out-bad-descriptor", "spectrum-out-list"])
 def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, content, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)

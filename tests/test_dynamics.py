@@ -476,12 +476,15 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("spec,cutoff", [
+    # at N = 2 and 3 the sectors +-(N - 1) hold one unit each, and every slot but 0 holds two sectors
+    (FREE, 2), (FREE, 3), (OSC, 2), (OSC, 3),
     (FREE, 12), (FREE, 31), (OSC, 12), (OSC, 31),
     (HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1)), 28),
     # 0.3i (b - b^dag): a linear term, g = 1, one complex block
     (HamiltonianSpec("potential", potential_coeffs=0.3j * np.array([[0, 1], [-1, 0]])), 12),
-], ids=["free-12", "free-31", "oscillator-12", "oscillator-31", "x1-squared-table-28",
-        "complex-linear-table"])
+    (HamiltonianSpec("potential", potential_coeffs=complex_table()), 28),  # g = 2, two complex blocks
+], ids=["free-2", "free-3", "oscillator-2", "oscillator-3", "free-12", "free-31", "oscillator-12",
+        "oscillator-31", "x1-squared-table-28", "complex-linear-table", "complex-table-28"])
 def test_scattered_blocks_equal_the_gather_bit_for_bit(spec, cutoff, monkeypatch):
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=cutoff)), spec)
     mats, want = gathered_class_blocks(h)
