@@ -41,8 +41,7 @@ from . import core, dynamics, measurement, observables, oscillator  # noqa: E402
 
 __version__ = "0.1.0"
 
-# the public surface is each module's own list; built before the star imports
-# below rebind the name observables from the module to its function
+# the public surface is each module's own list
 __all__ = [*core.__all__, *dynamics.__all__, *measurement.__all__, *observables.__all__,
            *oscillator.__all__, "__version__"]
 

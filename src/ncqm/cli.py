@@ -8,7 +8,8 @@ NCQM_THREADS for cross-machine comparisons).
 
 stdout and ``--out`` files carry data only; diagnostics go to stderr.
 Exit codes: 0 success (grids with truncation warnings included), 1 check suite
-ran but found violations, 2 configuration or usage error, 3 numerical failure.
+ran but found violations, 2 a usage-family error (UsageError and its subclasses),
+3 any other package error (the numerical family), an OS error or out of memory.
 
 NCQM_THREADS caps BLAS threading.  The package applies it on first import, so
 it only takes effect when set before the interpreter loads numpy; the ``ncqm``
@@ -30,19 +31,13 @@ import numpy as np
 from . import _thread_count
 from .core import (
     ConfigurationError,
-    ConsistencyError,
-    ConvergenceError,
-    DegenerateOscillatorError,
-    MeasurementImpossibleError,
     ModelParams,
+    NcqmError,
     NumericalError,
     QuantumState,
-    TruncationError,
     UsageError,
-    ValidationError,
     build_fock,
     hs_inner,
-    vec,
 )
 from .dynamics import (
     HamiltonianSpec,
@@ -57,12 +52,12 @@ from .dynamics import (
 from .measurement import (
     GridSpec,
     coherent_state_op,
+    coherent_vector,
     density_series,
     povm_identity_residual,
-    povm_matrix,
     probability_grid,
 )
-from .observables import observables, rotate, time_reverse
+from .observables import angular_momentum, momentum_ops, position_ops, rotate, time_reverse
 from .oscillator import (
     energy,
     excited_state,
@@ -76,11 +71,9 @@ __all__ = ["main"]
 
 _BOUNDARY_WEIGHT_MAX = 0.05  # spectra: levels above this are truncation artifacts
 # input caps, checked before anything is built: the theta = 0 enumeration makes
-# O(levels) rows, a grid holds points^2 values and an N x points^2 product, and
-# the povm suite's dense POVM matrices hold N^4 entries (7 s and 364 MB at N = 48)
+# O(levels) rows, and a grid holds points^2 values and an N x points^2 product
 _LEVELS_MAX = 10000
 _POINTS_MAX = 1001
-_POVM_CUTOFF_MAX = 48
 
 
 # ---------------------------------------------------------------- plumbing
@@ -561,18 +554,18 @@ def _suite_algebra(opts: dict) -> list[dict]:
     """
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 20
     ctx = build_fock(_params(opts, cutoff))
-    obs = observables(ctx)
+    (x1, x2), (p1, p2) = position_ops(ctx), momentum_ops(ctx)
     theta, hbar = ctx.params.theta, ctx.params.hbar
     rng = np.random.default_rng(int(opts["seed"]))
     states = [_random_interior_state(rng, cutoff, 3) for _ in range(3)]
 
     pairs = [
-        ("commutator_x1_x2", obs.X1, obs.X2, 1j * theta),
-        ("commutator_x1_p1", obs.X1, obs.P1, 1j * hbar),
-        ("commutator_x2_p2", obs.X2, obs.P2, 1j * hbar),
-        ("commutator_x1_p2", obs.X1, obs.P2, 0.0),
-        ("commutator_x2_p1", obs.X2, obs.P1, 0.0),
-        ("commutator_p1_p2", obs.P1, obs.P2, 0.0),
+        ("commutator_x1_x2", x1, x2, 1j * theta),
+        ("commutator_x1_p1", x1, p1, 1j * hbar),
+        ("commutator_x2_p2", x2, p2, 1j * hbar),
+        ("commutator_x1_p2", x1, p2, 0.0),
+        ("commutator_x2_p1", x2, p1, 0.0),
+        ("commutator_p1_p2", p1, p2, 0.0),
     ]
     return [_check_row(name, _worst(states, lambda p: _commutator(s1, s2, p) - c * p.op), 1e-12)
             for name, s1, s2, c in pairs]
@@ -609,8 +602,7 @@ def _suite_symmetry(opts: dict) -> list[dict]:
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 16
     ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
-    obs = observables(ctx)
-    lz = obs.Lz
+    (x1, x2), (p1, p2), lz = position_ops(ctx), momentum_ops(ctx), angular_momentum(ctx)
     h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
     a1, a1d, a2, a2d = ladder_ops(ctx)
     rng = np.random.default_rng(int(opts["seed"]))
@@ -622,10 +614,10 @@ def _suite_symmetry(opts: dict) -> list[dict]:
 
     hbar = params.hbar
     rows = [
-        _check_row("conjugation_x1_right_mult", conj_residual(obs.X1, lambda p: p.op @ ctx.x1), 1e-10),
-        _check_row("conjugation_x2_right_mult", conj_residual(obs.X2, lambda p: p.op @ ctx.x2), 1e-10),
-        _check_row("conjugation_p1_sign", conj_residual(obs.P1, lambda p: -obs.P1.apply(p).op), 1e-10),
-        _check_row("conjugation_p2_sign", conj_residual(obs.P2, lambda p: -obs.P2.apply(p).op), 1e-10),
+        _check_row("conjugation_x1_right_mult", conj_residual(x1, lambda p: p.op @ ctx.x1), 1e-10),
+        _check_row("conjugation_x2_right_mult", conj_residual(x2, lambda p: p.op @ ctx.x2), 1e-10),
+        _check_row("conjugation_p1_sign", conj_residual(p1, lambda p: -p1.apply(p).op), 1e-10),
+        _check_row("conjugation_p2_sign", conj_residual(p2, lambda p: -p2.apply(p).op), 1e-10),
         _check_row("conjugation_lz_sign", conj_residual(lz, lambda p: -lz.apply(p).op), 1e-10),
         _check_row("lz_oscillator_commute", _worst(states, lambda p: _commutator(lz, h, p)), 1e-10),
         _check_row("lz_ladder_one_lowers", _worst(
@@ -667,32 +659,32 @@ def _suite_symmetry(opts: dict) -> list[dict]:
 
 
 def _suite_povm(opts: dict) -> list[dict]:
-    """Positivity, the projector POVM against the derivative series, and the resolution of identity."""
+    """Positivity, the projector POVM against the derivative series, and the resolution of identity.
+
+    pi_z is left multiplication by |z><z| / (2 pi theta), so its spectrum is that
+    of the N x N projector term and <psi|pi_z|psi> = ||<z|psi||^2 / (2 pi theta).
+    """
     cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 24
-    if cutoff > _POVM_CUTOFF_MAX:
-        raise UsageError(f"check --suite povm --cutoff is capped at {_POVM_CUTOFF_MAX} "
-                         f"(its POVM matrices hold N^4 entries), got {cutoff}")
     ctx = build_fock(_params(opts, cutoff))
-    theta = ctx.params.theta
+    cell = 2.0 * math.pi * ctx.params.theta
     rng = np.random.default_rng(int(opts["seed"]))
 
-    pi = povm_matrix(ctx, 0.7 + 0.2j)
-    min_eig = float(np.linalg.eigvalsh(pi)[0])
+    v = coherent_vector(cutoff, 0.7 + 0.2j)
+    min_eig = float(np.linalg.eigvalsh(np.outer(v, v.conj()) / cell)[0])
     rows = [_check_row("psd_violation", max(0.0, -min_eig), 1e-12)]
 
     states = [_random_interior_state(rng, cutoff, 6) for _ in range(2)]
     states.append(coherent_state_op(ctx, 0.3))
     worst = 0.0
     for z in (0.0, 0.4 - 0.3j, 1.1 + 0.2j):
-        pi_z = povm_matrix(ctx, z)
+        v = coherent_vector(cutoff, z)
         for psi in states:
-            v = vec(psi.op)
-            quad = float((v.conj() @ (pi_z @ v)).real)
+            quad = float(np.linalg.norm(v.conj() @ psi.op) ** 2) / cell
             series = density_series(ctx, psi, z)
             worst = max(worst, abs(quad - series) / max(series, 1e-300))
     rows.append(_check_row("series_vs_matrix_agreement", worst, 1e-10))
 
-    residual = povm_identity_residual(ctx, 6.0 * math.sqrt(theta), points=61, span=5)
+    residual = povm_identity_residual(ctx, 6.0 * math.sqrt(ctx.params.theta), points=61, span=5)
     rows.append(_check_row("identity_quadrature_low_levels", residual, 1e-3))
     return rows
 
@@ -856,12 +848,11 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command][0](args)
-    except (ConfigurationError, UsageError, ValidationError, DegenerateOscillatorError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ConvergenceError, ConsistencyError,
-            MeasurementImpossibleError, NumericalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NcqmError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

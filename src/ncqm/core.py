@@ -17,15 +17,15 @@ import numpy as np
 
 __all__ = [
     "NcqmError",
-    "ConfigurationError",
     "UsageError",
+    "NumericalError",
+    "ConfigurationError",
     "ValidationError",
+    "DegenerateOscillatorError",
     "TruncationError",
     "ConvergenceError",
     "ConsistencyError",
-    "DegenerateOscillatorError",
     "MeasurementImpossibleError",
-    "NumericalError",
     "ModelParams",
     "FockContext",
     "QuantumState",
@@ -42,40 +42,40 @@ class NcqmError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigurationError(NcqmError):
-    """Invalid model parameters."""
-
-
 class UsageError(NcqmError):
-    """Arguments outside an operation's contract (mismatched cutoffs, bad ranges)."""
-
-
-class ValidationError(NcqmError):
-    """Structurally invalid input data (non-Hermitian potential table, etc.)."""
-
-
-class TruncationError(NcqmError):
-    """The requested object is not representable at the current cutoff."""
-
-
-class ConvergenceError(NcqmError):
-    """An iterative evaluation hit its cap before converging."""
-
-
-class ConsistencyError(NcqmError):
-    """Two internal closed forms that must agree did not."""
-
-
-class DegenerateOscillatorError(NcqmError):
-    """Oscillator quantities requested at omega = 0 (free particle handled elsewhere)."""
-
-
-class MeasurementImpossibleError(NcqmError):
-    """Post-measurement state undefined: detection probability is numerically zero."""
+    """Usage family, CLI exit 2: arguments outside an operation's contract (mismatched cutoffs, bad ranges)."""
 
 
 class NumericalError(NcqmError):
-    """A numerical routine failed (eigensolver breakdown, verification miss)."""
+    """Numerical family, CLI exit 3: valid input, but no trustworthy answer (breakdown, verification miss)."""
+
+
+class ConfigurationError(UsageError):
+    """Invalid model parameters (usage family)."""
+
+
+class ValidationError(UsageError):
+    """Structurally invalid input data, such as a non-Hermitian potential table (usage family)."""
+
+
+class DegenerateOscillatorError(UsageError):
+    """Oscillator quantities requested at omega = 0, the free particle (usage family)."""
+
+
+class TruncationError(NumericalError):
+    """The requested object is not representable at the current cutoff (numerical family)."""
+
+
+class ConvergenceError(NumericalError):
+    """An iterative evaluation hit its cap before converging (numerical family)."""
+
+
+class ConsistencyError(NumericalError):
+    """Two internal closed forms that must agree did not (numerical family)."""
+
+
+class MeasurementImpossibleError(NumericalError):
+    """Post-measurement state undefined: detection probability is numerically zero (numerical family)."""
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def coherent_vector(cutoff: int, z: complex) -> np.ndarray:
     return _coherent_basis(np.array([complex(z)]), cutoff)[0]
 
 
-def coherent_tail(cutoff: int, z: complex, level: int) -> float:
+def coherent_tail(z: complex, level: int) -> float:
     """Weight of |z> on Fock levels >= level: the Poisson(|z|^2) upper tail.
 
     For mu = |z|^2 <= level the positive terms are summed upward from k = level
@@ -122,11 +122,11 @@ def coherent_state_op(ctx: FockContext, z: complex) -> QuantumState:
     N = |z|^2 + 4; past |z|^2 = 1e4 (long tail sums) it names that bound.
     """
     n = ctx.cutoff
-    tail = coherent_tail(n, z, n - 3)
+    tail = coherent_tail(z, n - 3)
     if tail >= 1e-8:
         mu = abs(complex(z)) ** 2
         need = int(mu) + 4
-        while mu <= 1e4 and coherent_tail(need, z, need - 3) >= 1e-8:
+        while mu <= 1e4 and coherent_tail(z, need - 3) >= 1e-8:
             need += 1
         raise TruncationError(
             f"coherent state at z = {z} has weight {tail:.2e} above level {n - 3}; "
@@ -194,7 +194,7 @@ def _coherent_basis(zs: np.ndarray, count: int) -> np.ndarray:
 
 
 def _warn_if_unsafe(cutoff: int, z: complex) -> str | None:
-    tail = coherent_tail(cutoff, z, cutoff - 3)
+    tail = coherent_tail(z, cutoff - 3)
     if tail >= 1e-8:
         return (
             f"point z = {z} is truncation-unsafe at cutoff {cutoff} "

@@ -11,15 +11,11 @@ reversal is the conjugate transpose (anti-linear, never materialized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import FockContext, QuantumState, SuperOperator, _unit_offsets
 
 __all__ = [
-    "ObservableSet",
-    "observables",
     "position_ops",
     "momentum_ops",
     "angular_momentum",
@@ -38,22 +34,6 @@ def _commutator_action(op: np.ndarray) -> SuperOperator:
     """psi -> [op, psi] as a two-term superoperator."""
     eye = np.eye(op.shape[0], dtype=complex)
     return SuperOperator([(op, eye), (-eye, op)])
-
-
-@dataclass(frozen=True)
-class ObservableSet:
-    """The observables the reports read, for one context; each is Hermitian on the state space.
-
-    X1, X2:   left multiplication by x_i.
-    P1, P2:   (hbar/theta) eps_ij [x_j, .].
-    Lz:       quantum angular momentum, psi -> -(hbar/2 theta)[x1^2 + x2^2, psi].
-    """
-
-    X1: SuperOperator
-    X2: SuperOperator
-    P1: SuperOperator
-    P2: SuperOperator
-    Lz: SuperOperator
 
 
 def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
@@ -75,10 +55,6 @@ def angular_momentum(ctx: FockContext) -> SuperOperator:
     """
     c = -ctx.params.hbar / (2.0 * ctx.params.theta)
     return c * _commutator_action(ctx.r_sq)
-
-
-def observables(ctx: FockContext) -> ObservableSet:
-    return ObservableSet(*position_ops(ctx), *momentum_ops(ctx), angular_momentum(ctx))
 
 
 def rotate(psi: QuantumState, phi: float) -> QuantumState:

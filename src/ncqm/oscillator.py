@@ -161,8 +161,6 @@ def bogoliubov_transform(params: ModelParams) -> BogoliubovResult:
     runs anyway as a cross-check on the eigenvalues; disagreement beyond 1e-12
     relative raises NumericalError.
     """
-    if params.omega <= 0.0:
-        raise DegenerateOscillatorError("bogoliubov_transform needs omega > 0")
     hbar, m, w, th = params.hbar, params.mass, params.omega, params.theta
     lam1, lam2 = lambdas(params)
     k1, k2 = k_norms(params)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncqm import ModelParams, cli, energy
+from ncqm import ModelParams, cli, core, energy
 from ncqm.cli import main
 
 THETA = 0.1
@@ -128,8 +128,7 @@ def test_config_values_that_are_not_numbers_exit_2(capsys, tmp_path, command, co
      ("_build_state", "probability_grid")),
     (["spectrum", "--theta", "0", "--levels", "10001"], 10000, ("_analytic_levels",)),
     (["spectrum", "--levels", "10001"], 10000, ("build_fock",)),
-    (["check", "--suite", "povm", "--cutoff", "49"], 48, ("build_fock",)),
-], ids=["points", "levels-commutative", "levels", "povm-cutoff"])
+], ids=["points", "levels-commutative", "levels"])
 def test_size_caps_exit_2_before_building_anything(capsys, tmp_path, monkeypatch,
                                                    argv, limit, unreached):
     from ncqm import cli
@@ -143,6 +142,37 @@ def test_size_caps_exit_2_before_building_anything(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert f"capped at {limit}" in err
+
+
+# the CLI exit code of each exported package error: 2 for the usage family, 3 for the rest
+_EXIT_BY_ERROR = {
+    "NcqmError": 3, "UsageError": 2, "NumericalError": 3,
+    "ConfigurationError": 2, "ValidationError": 2, "DegenerateOscillatorError": 2,
+    "TruncationError": 3, "ConvergenceError": 3, "ConsistencyError": 3, "MeasurementImpossibleError": 3,
+}
+
+
+def test_exit_table_names_every_exported_error():
+    exported = {name for name in core.__all__
+                if isinstance(getattr(core, name), type) and issubclass(getattr(core, name), core.NcqmError)}
+    assert exported == set(_EXIT_BY_ERROR)
+
+
+@pytest.mark.parametrize("exc,expected", [
+    *((getattr(core, name)("refused"), code) for name, code in _EXIT_BY_ERROR.items()),
+    (OSError("disk full"), 3),
+    (MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)"), 3),
+    (MemoryError(), 3),
+], ids=[*_EXIT_BY_ERROR, "OSError", "MemoryError", "MemoryError-bare"])
+def test_exit_code_follows_the_error_family(capsys, monkeypatch, exc, expected):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (fail, "always fails"))
+    code, out, err = run(capsys, ["spectrum"])
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.strip() != "error:"
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -271,6 +301,19 @@ def test_large_spectrum_request_runs_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_povm_suite_works_on_the_projector_in_bounded_memory(tmp_path):
+    # the dense N^2 x N^2 POVM elements took 244 MiB traced at N = 48; the N x N projector about 2 MiB
+    tracemalloc.start()
+    try:
+        assert main(["check", "--suite", "povm", "--cutoff", "48", "--out", str(tmp_path / "p.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert [row["name"] for row in json.loads((tmp_path / "p.json").read_text())["checks"]] == [
+        "psd_violation", "series_vs_matrix_agreement", "identity_quadrature_low_levels"]
 
 
 def test_spectrum_commutative_csv_exact(capsys):

@@ -77,10 +77,10 @@ def test_coherent_tail_is_poisson_upper_tail():
     mu = abs(z) ** 2
     for level in (1, 3, 8):
         brute = 1.0 - sum(math.exp(-mu) * mu**k / math.factorial(k) for k in range(level))
-        assert coherent_tail(40, z, level) == pytest.approx(brute, rel=1e-10)
-    assert coherent_tail(40, z, 0) == 1.0
-    assert coherent_tail(40, z, -2) == 1.0
-    assert coherent_tail(40, 0.0, 5) == 0.0
+        assert coherent_tail(z, level) == pytest.approx(brute, rel=1e-10)
+    assert coherent_tail(z, 0) == 1.0
+    assert coherent_tail(z, -2) == 1.0
+    assert coherent_tail(0.0, 5) == 0.0
 
 
 @pytest.mark.parametrize("level", [1, 2, 5, 27, 100, 341])
@@ -92,7 +92,7 @@ def test_coherent_tail_matches_mpmath_on_both_branches(level):
     assert any(mu <= level for mu in mus) and any(mu > level for mu in mus)
     with mpmath.workdps(50):
         for mu in mus:
-            got = coherent_tail(level + 3, math.sqrt(mu), level)
+            got = coherent_tail(math.sqrt(mu), level)
             want = mpmath.gammainc(level, 0, mpmath.mpf(mu), regularized=True)
             if want > 1e-290:
                 assert abs(got - want) <= 1e-12 * want, (mu, got, want)
@@ -101,7 +101,7 @@ def test_coherent_tail_matches_mpmath_on_both_branches(level):
 
 
 @pytest.mark.parametrize("call", [
-    lambda ctx: coherent_tail(12, 1e200, 3),
+    lambda ctx: coherent_tail(1e200, 3),
     lambda ctx: coherent_state_op(ctx, 1e200),
     lambda ctx: position_probability(ctx, QuantumState(np.eye(12)), 1e200),
     lambda ctx: plane_wave(ctx, 1e200),
@@ -379,7 +379,7 @@ def test_grid_counts_the_points_coherent_tail_flags():
     grid = GridSpec((-2.0, 2.5), (-1.5, 2.0), (31, 29))
     res = probability_grid(ctx, ground_state(ctx), grid)
     zs = [(a + 1j * b) / math.sqrt(2.0 * THETA) for a in res.x1 for b in res.x2]
-    unsafe = sum(coherent_tail(30, z, 27) >= 1e-8 for z in zs)
+    unsafe = sum(coherent_tail(z, 27) >= 1e-8 for z in zs)
     assert 0 < unsafe < len(zs)
     assert res.warnings[0].startswith(f"{unsafe} of {len(zs)} grid points truncation-unsafe")
 
@@ -390,7 +390,7 @@ def test_grid_bisected_count_matches_every_distinct_radius():
     grid = GridSpec((-2.0, 2.5), (-1.5, 2.0), (201, 201))
     radii = np.abs(_grid_points(grid))
     distinct = np.unique(radii)
-    unsafe_radii = [r for r in distinct if coherent_tail(30, r, 27) >= 1e-8]
+    unsafe_radii = [r for r in distinct if coherent_tail(r, 27) >= 1e-8]
     unsafe = int(np.sum(radii >= unsafe_radii[0]))
     assert 0 < len(unsafe_radii) < len(distinct)
     assert unsafe_radii == list(distinct[len(distinct) - len(unsafe_radii):])  # the tail grows with |z|

@@ -1,6 +1,7 @@
 """Positions, momenta, angular momentum, rotations, and anti-linear conjugation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ncqm import (
     build_fock,
     hamiltonian,
     momentum_ops,
-    observables,
     position_ops,
     rotate,
     time_reverse,
@@ -32,7 +32,8 @@ def ctx():
 
 @pytest.fixture(scope="module")
 def obs(ctx):
-    return observables(ctx)
+    (x1, x2), (p1, p2) = position_ops(ctx), momentum_ops(ctx)
+    return SimpleNamespace(X1=x1, X2=x2, P1=p1, P2=p2, Lz=angular_momentum(ctx))
 
 
 # ---------------------------------------------------------------- algebra
@@ -75,7 +76,6 @@ def _hermitian_defect(mat):
 def test_observables_and_hamiltonians_are_hermitian_on_the_state_space(n):
     theta = 0.1
     ctx = build_fock(ModelParams(theta=theta, cutoff=n))
-    obs = observables(ctx)
     x1_sq = np.zeros((3, 3), dtype=complex)  # (theta/2)(b^2 + bdag^2 + 2 bdag b + 1)
     x1_sq[0, 0] = x1_sq[0, 2] = x1_sq[2, 0] = 0.5 * theta
     x1_sq[1, 1] = theta
@@ -84,7 +84,7 @@ def test_observables_and_hamiltonians_are_hermitian_on_the_state_space(n):
     specs = (HamiltonianSpec("free"), HamiltonianSpec("oscillator"),
              HamiltonianSpec("potential", potential_coeffs=x1_sq),
              HamiltonianSpec("potential", potential_coeffs=complex_table))
-    base = [obs.X1, obs.X2, obs.P1, obs.P2, obs.Lz]
+    base = [*position_ops(ctx), *momentum_ops(ctx), angular_momentum(ctx)]
     ops = (base + [-2.5 * s for s in base] + [time_reverse_conjugate(s) for s in base]
            + [hamiltonian(ctx, spec) for spec in specs])
     assert max(_hermitian_defect(s.matrix) for s in ops) <= 1e-12
