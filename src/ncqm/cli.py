@@ -6,7 +6,9 @@ defaults.  Identical configuration and seed produce byte-identical output
 (caveat: a different BLAS build or thread count can move the last bits, so pin
 NCQM_THREADS for cross-machine comparisons).
 
-stdout and ``--out`` files carry data only; diagnostics go to stderr.
+stdout and ``--out`` files carry data only; diagnostics go to stderr.  Every
+report opens with ``schema``, ``command``, ``seed`` and ``params`` (the model it
+ran, its cutoff included), and the povm suite runs at any cutoff.
 Exit codes: 0 success (grids with truncation warnings included), 1 check suite
 ran but found violations, 2 a usage-family error (UsageError and its subclasses),
 3 any other package error (the numerical family), an OS error or out of memory.
@@ -24,13 +26,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import _thread_count
 from .core import (
     ConfigurationError,
+    FockContext,
     ModelParams,
     NcqmError,
     NumericalError,
@@ -166,6 +169,16 @@ def _params(opts: dict, cutoff: int) -> ModelParams:
     return ModelParams(*(float(opts[k]) for k in ("theta", "hbar", "mass", "omega")), cutoff=int(cutoff))
 
 
+def _cutoff(opts: dict, default: int) -> int:
+    """--cutoff when given, else the command's default."""
+    return int(opts["cutoff"]) if opts["cutoff"] is not None else default
+
+
+def _header(command: str, opts: dict, params: ModelParams) -> dict:
+    """The fields every report opens with: what ran, its seed and the model it ran on."""
+    return {"schema": 1, "command": command, "seed": int(opts["seed"]), "params": asdict(params)}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -270,9 +283,11 @@ def _auto_cutoff(extent: float, theta: float) -> int:
     return max(math.ceil(corner) + 8, 8)
 
 
-def _build_state(kind: str, detail, opts: dict):
+def _build_state(kind: str, detail, opts: dict, default: int | None = None):
     """Resolve cutoff, build the context and the selected normalized state.
 
+    Without --cutoff a file state takes its dimension, a plane wave 40, and the
+    other states default, or when it is None a cutoff that fits the grid extent.
     Returns (ctx, psi, extent, notes).  theta > 0 is checked here, not left
     to build_fock, because the default extent and cutoff divide by it first.
     """
@@ -280,21 +295,18 @@ def _build_state(kind: str, detail, opts: dict):
     if theta <= 0.0:
         raise ConfigurationError("state construction needs theta > 0 (the operator realization "
                                  "of the plane degenerates in the commutative limit)")
-    explicit_cutoff = None if opts["cutoff"] is None else int(opts["cutoff"])
     notes: list[str] = []
 
     if kind == "file":
         arr = _load_state_file(detail)
-        if explicit_cutoff is not None and explicit_cutoff != arr.shape[0]:
-            raise UsageError(
-                f"--cutoff {explicit_cutoff} disagrees with state file dimension {arr.shape[0]}"
-            )
         cutoff = arr.shape[0]
+        if _cutoff(opts, cutoff) != cutoff:
+            raise UsageError(f"--cutoff {opts['cutoff']} disagrees with state file dimension {cutoff}")
         ctx = build_fock(_params(opts, cutoff))
         return ctx, QuantumState(arr).normalized(), _extent(kind, detail, opts, cutoff), notes
 
     if kind == "plane":
-        cutoff = explicit_cutoff if explicit_cutoff is not None else 40
+        cutoff = _cutoff(opts, 40)
         ctx = build_fock(_params(opts, cutoff))
         psi, _ = plane_wave(ctx, detail)
         notes.append("plane wave normalized over the truncated space; it is not "
@@ -302,9 +314,10 @@ def _build_state(kind: str, detail, opts: dict):
                      "reflects the window, not unity")
         return ctx, psi.normalized(), _extent(kind, detail, opts, cutoff), notes
 
-    extent = _extent(kind, detail, opts, explicit_cutoff)
-    cutoff = explicit_cutoff if explicit_cutoff is not None else _auto_cutoff(extent, theta)
-    ctx = build_fock(_params(opts, cutoff))
+    extent = _extent(kind, detail, opts, None)
+    if default is None and opts["cutoff"] is None:
+        default = _auto_cutoff(extent, theta)
+    ctx = build_fock(_params(opts, _cutoff(opts, default)))
     if kind == "ground":
         psi = ground_state(ctx)
     elif kind == "excited":
@@ -373,7 +386,7 @@ def _oscillator_levels(h, levels: int) -> tuple[list[dict], list[str]]:
     return rows, notes
 
 
-def _spectrum_oscillator(opts: dict) -> dict:
+def _spectrum_oscillator(opts: dict) -> tuple[ModelParams, dict]:
     if opts["kappa"] is not None:
         raise UsageError("--kappa applies to --system free only")
     levels = int(opts["levels"])
@@ -383,7 +396,7 @@ def _spectrum_oscillator(opts: dict) -> dict:
         raise UsageError(f"--levels is capped at {_LEVELS_MAX}, got {levels}")
 
     if float(opts["theta"]) == 0.0:
-        params = _params({**opts, "theta": 0.0}, 2)
+        params = _params({**opts, "theta": 0.0}, _cutoff(opts, 30))
         rows = [
             {"index": i, "energy": e, "lz": lz, "n1": n1, "n2": n2}
             for i, (e, lz, n1, n2) in enumerate(_analytic_levels(params, levels))
@@ -391,22 +404,20 @@ def _spectrum_oscillator(opts: dict) -> dict:
         notes = ["commutative limit: closed-form level enumeration "
                  "(the operator realization needs theta > 0)"]
     else:
-        params = _params(opts, int(opts["cutoff"]) if opts["cutoff"] is not None else 30)
+        params = _params(opts, _cutoff(opts, 30))
         rows, notes = _oscillator_levels(hamiltonian(build_fock(params), HamiltonianSpec("oscillator")),
                                          levels)
-    return {"system": "oscillator", "params": asdict(params), "levels": rows, "notes": notes}
+    return params, {"system": "oscillator", "levels": rows, "notes": notes}
 
 
-def _spectrum_free(opts: dict) -> dict:
+def _spectrum_free(opts: dict) -> tuple[ModelParams, dict]:
     if opts["kappa"] is None:
         raise UsageError("--system free needs --kappa")
     kappa = _as_complex(opts["kappa"], "kappa")
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 40
-    params = _params(opts, cutoff)
-    ctx = build_fock(params)
+    ctx = build_fock(_params(opts, _cutoff(opts, 40)))
     h = hamiltonian(ctx, HamiltonianSpec("free"))
     psi, e_plane = plane_wave(ctx, kappa)
-    depth = boundary_defect_depth(kappa, cutoff)
+    depth = boundary_defect_depth(kappa, ctx.params.cutoff)
     residual = interior_residual(h, psi, e_plane, depth)
     row = {
         "kappa_re": kappa.real, "kappa_im": kappa.imag,
@@ -414,7 +425,7 @@ def _spectrum_free(opts: dict) -> dict:
     }
     notes = ["plane-wave eigen-residual is measured away from the last mask_depth "
              "levels, where truncating the exponential series necessarily bends the state"]
-    return {"system": "free", "params": asdict(params), "levels": [row], "notes": notes}
+    return ctx.params, {"system": "free", "levels": [row], "notes": notes}
 
 
 # one column order for every kind of report, not alphabetical; each kind keeps the columns it has
@@ -436,18 +447,16 @@ def _spectrum_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_spectrum(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "spectrum")
-    report = _spectrum_oscillator(opts) if opts["system"] == "oscillator" else _spectrum_free(opts)
-    report = {"schema": 1, "command": "spectrum", "seed": int(opts["seed"]), **report}
+def _run_spectrum(opts: dict) -> int:
+    params, body = _spectrum_oscillator(opts) if opts["system"] == "oscillator" else _spectrum_free(opts)
+    report = {**_header("spectrum", opts, params), **body}
     _emit(_spectrum_csv(report) if opts["format"] == "csv" else _json_text(report), opts["out"])
     return 0
 
 
 # ---------------------------------------------------------------- probability
 
-def _run_probability(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "probability")
+def _run_probability(opts: dict) -> int:
     if opts["out"] is None:
         raise UsageError("probability writes a CSV grid plus a JSON sidecar; pass --out PATH")
     points = int(opts["points"])
@@ -469,11 +478,8 @@ def _run_probability(args: argparse.Namespace) -> int:
             lines.append(f"{x1i!r},{float(pg.x2[j])!r},{float(pg.values[i, j])!r}")
 
     meta = {
-        "schema": 1,
-        "command": "probability",
+        **_header("probability", opts, ctx.params),
         "state": str(opts["state"]),
-        "params": asdict(ctx.params),
-        "seed": int(opts["seed"]),
         "grid": {
             "x1_range": [-extent, extent],
             "x2_range": [-extent, extent],
@@ -494,28 +500,22 @@ def _run_probability(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- evolve
 
-def _run_evolve(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "evolve")
+def _run_evolve(opts: dict) -> int:
     t = _finite(opts, "time")
     system = str(opts["system"])
     state_raw = str(opts["state"])
     kind, detail = _parse_state_selector(state_raw)
-    if opts["cutoff"] is None and kind not in ("plane", "file"):
-        opts = {**opts, "cutoff": 30}
-    ctx, psi0, _, notes = _build_state(kind, detail, opts)
+    ctx, psi0, _, notes = _build_state(kind, detail, opts, 30)
     h = hamiltonian(ctx, HamiltonianSpec(system))
 
     psi_t = evolve(psi0, h, t)
     e0 = hs_inner(psi0, h.apply(psi0)).real
     e1 = hs_inner(psi_t, h.apply(psi_t)).real
     report = {
-        "schema": 1,
-        "command": "evolve",
+        **_header("evolve", opts, ctx.params),
         "system": system,
         "state": state_raw,
         "time": t,
-        "seed": int(opts["seed"]),
-        "params": asdict(ctx.params),
         "norm_initial": psi0.norm,
         "norm_final": psi_t.norm,
         "norm_drift": abs(psi_t.norm - psi0.norm),
@@ -546,18 +546,15 @@ def _commutator(s, t, psi: QuantumState) -> np.ndarray:
     return s.apply(t.apply(psi)).op - t.apply(s.apply(psi)).op
 
 
-def _suite_algebra(opts: dict) -> list[dict]:
+def _suite_algebra(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     """Heisenberg algebra of the position and momentum superoperators.
 
     Commutator identities hold exactly on states supported away from the
     cutoff boundary, so residuals here are pure roundoff.
     """
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 20
-    ctx = build_fock(_params(opts, cutoff))
     (x1, x2), (p1, p2) = position_ops(ctx), momentum_ops(ctx)
     theta, hbar = ctx.params.theta, ctx.params.hbar
-    rng = np.random.default_rng(int(opts["seed"]))
-    states = [_random_interior_state(rng, cutoff, 3) for _ in range(3)]
+    states = [_random_interior_state(rng, ctx.params.cutoff, 3) for _ in range(3)]
 
     pairs = [
         ("commutator_x1_x2", x1, x2, 1j * theta),
@@ -571,13 +568,10 @@ def _suite_algebra(opts: dict) -> list[dict]:
             for name, s1, s2, c in pairs]
 
 
-def _suite_continuity(opts: dict) -> list[dict]:
+def _suite_continuity(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     """Probability transport identity for the free, oscillator, and table-potential flows."""
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 24
-    ctx = build_fock(_params(opts, cutoff))
     theta = ctx.params.theta
-    rng = np.random.default_rng(int(opts["seed"]))
-    states = [_random_interior_state(rng, cutoff, 6) for _ in range(3)]
+    states = [_random_interior_state(rng, ctx.params.cutoff, 6) for _ in range(3)]
 
     # x1^2 as a normal-ordered coefficient table: theta/2 (b^2 + bdag^2 + 2 bdag b + 1)
     table = np.zeros((3, 3))
@@ -597,16 +591,13 @@ def _suite_continuity(opts: dict) -> list[dict]:
     return rows
 
 
-def _suite_symmetry(opts: dict) -> list[dict]:
+def _suite_symmetry(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     """Anti-unitary conjugation, rotations, and angular-momentum relations."""
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 16
-    ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
     (x1, x2), (p1, p2), lz = position_ops(ctx), momentum_ops(ctx), angular_momentum(ctx)
     h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
     a1, a1d, a2, a2d = ladder_ops(ctx)
-    rng = np.random.default_rng(int(opts["seed"]))
-    states = [_random_interior_state(rng, cutoff, 6) for _ in range(3)]
+    states = [_random_interior_state(rng, params.cutoff, 6) for _ in range(3)]
 
     def conj_residual(s, target):
         """max ||Theta(S(Theta psi)) - target(psi)|| over the sample states."""
@@ -658,23 +649,25 @@ def _suite_symmetry(opts: dict) -> list[dict]:
     return rows
 
 
-def _suite_povm(opts: dict) -> list[dict]:
+def _suite_povm(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     """Positivity, the projector POVM against the derivative series, and the resolution of identity.
 
     pi_z is left multiplication by |z><z| / (2 pi theta), so its spectrum is that
     of the N x N projector term and <psi|pi_z|psi> = ||<z|psi||^2 / (2 pi theta).
     """
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 24
-    ctx = build_fock(_params(opts, cutoff))
+    cutoff = ctx.params.cutoff
     cell = 2.0 * math.pi * ctx.params.theta
-    rng = np.random.default_rng(int(opts["seed"]))
 
     v = coherent_vector(cutoff, 0.7 + 0.2j)
     min_eig = float(np.linalg.eigvalsh(np.outer(v, v.conj()) / cell)[0])
     rows = [_check_row("psd_violation", max(0.0, -min_eig), 1e-12)]
 
-    states = [_random_interior_state(rng, cutoff, 6) for _ in range(2)]
-    states.append(coherent_state_op(ctx, 0.3))
+    # the series oracle refuses dense states reaching about level 66 (their terms cancel below roundoff)
+    # and sums as many terms as row 0 is long, at most 200, so every sample stays below level 48
+    low = min(cutoff, 48)
+    states = [_random_interior_state(rng, cutoff, max(6, cutoff - low)) for _ in range(2)]
+    coherent = coherent_state_op(build_fock(replace(ctx.params, cutoff=low)), 0.3).op
+    states.append(QuantumState(np.pad(coherent, (0, cutoff - low))))
     worst = 0.0
     for z in (0.0, 0.4 - 0.3j, 1.1 + 0.2j):
         v = coherent_vector(cutoff, z)
@@ -689,10 +682,8 @@ def _suite_povm(opts: dict) -> list[dict]:
     return rows
 
 
-def _suite_oscillator_oracle(opts: dict) -> list[dict]:
+def _suite_oscillator_oracle(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     """Closed-form oscillator layer against itself, its excited states and the spectrum."""
-    cutoff = int(opts["cutoff"]) if opts["cutoff"] is not None else 30
-    ctx = build_fock(_params(opts, cutoff))
     params = ctx.params
     hbar, m, w, theta = params.hbar, params.mass, params.omega, params.theta
     lam1, lam2 = lambdas(params)
@@ -730,6 +721,7 @@ def _suite_oscillator_oracle(opts: dict) -> list[dict]:
 
     # (1, 0), the lowest level of tower -1, has closed-form rank floor(lam1 / lam2) + 2; about N
     # levels lie below it at cutoff N, and taking min() before floor() keeps an inf ratio out
+    cutoff = params.cutoff
     levels, _ = _oscillator_levels(h, min(cutoff, max(8, math.floor(min(cutoff, lam1 / lam2)) + 2)))
     tops = ((0, 0), (0, 1), (1, 0))  # the lowest levels of the towers 0, 1 and -1
     paired = {(row["n1"], row["n2"]): row for row in levels}
@@ -746,31 +738,24 @@ def _suite_oscillator_oracle(opts: dict) -> list[dict]:
     return rows
 
 
-_SUITES = {
-    "algebra": _suite_algebra,
-    "continuity": _suite_continuity,
-    "symmetry": _suite_symmetry,
-    "povm": _suite_povm,
-    "oscillator-oracle": _suite_oscillator_oracle,
+_SUITES = {  # each suite's runner and its default cutoff
+    "algebra": (_suite_algebra, 20),
+    "continuity": (_suite_continuity, 24),
+    "symmetry": (_suite_symmetry, 16),
+    "povm": (_suite_povm, 24),
+    "oscillator-oracle": (_suite_oscillator_oracle, 30),
 }
 
 
-def _run_check(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "check")
+def _run_check(opts: dict) -> int:
     suite = opts["suite"]
     if suite is None:
         raise UsageError(f"check needs --suite ({'|'.join(sorted(_SUITES))})")
-    checks = _SUITES[suite](opts)
+    runner, default = _SUITES[suite]
+    ctx = build_fock(_params(opts, _cutoff(opts, default)))
+    checks = runner(ctx, np.random.default_rng(int(opts["seed"])))
     passed = all(row["pass"] for row in checks)
-    report = {
-        "schema": 1,
-        "command": "check",
-        "suite": suite,
-        "seed": int(opts["seed"]),
-        "config": {k: opts[k] for k in ("theta", "hbar", "mass", "omega", "cutoff")},
-        "checks": checks,
-        "passed": passed,
-    }
+    report = {**_header("check", opts, ctx.params), "suite": suite, "checks": checks, "passed": passed}
     _emit(_json_text(report), opts["out"])
     return 0 if passed else 1
 
@@ -847,7 +832,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
 
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command][0](_resolve(args, args.command))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

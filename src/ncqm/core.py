@@ -238,8 +238,8 @@ class QuantumState:
     def norm(self) -> float:
         return np.sqrt(self.norm_sq)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq - 1.0) <= 1e-12
 
     def normalized(self) -> "QuantumState":
         if self.norm_sq == 0.0:

@@ -355,18 +355,18 @@ def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
     return QuantumState(unvec(out[:-1], h.cutoff))
 
 
-def boundary_defect_depth(kappa: complex, cutoff: int, tol: float = 1e-9) -> int:
+def boundary_defect_depth(kappa: complex, cutoff: int) -> int:
     """A priori depth of the truncation defect band of a plane wave.
 
     The truncated wave's Hamiltonian residual lives on the top d Fock levels
-    where d is the first integer with (|kappa| sqrt(N))^d / d! < tol; entries
+    where d is the first integer with (|kappa| sqrt(N))^d / d! < 1e-9; entries
     deeper inside are exact to that tolerance.
     """
     x = abs(kappa) * math.sqrt(cutoff)
     term = 1.0
     for d in range(1, cutoff):
         term *= x / d
-        if term < tol:
+        if term < 1e-9:
             return d
     return cutoff
 

@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_SERIES_TERMS = 200  # density_series gives up past this many terms
 _BLOCK = 1 << 16  # coherent-basis entries per block: 1 MiB complex, so a grid's temporaries stay near 1 MB
 
 
@@ -203,7 +204,7 @@ def _warn_if_unsafe(cutoff: int, z: complex) -> str | None:
     return None
 
 
-def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: int = 200) -> float:
+def density_series(ctx: FockContext, psi: QuantumState, z: complex) -> float:
     """Position density at z summed term by term from the paper's derivative series.
 
     The independent oracle for position_probability and povm_matrix: it never
@@ -221,7 +222,7 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
     puts its term within 2 sqrt(term floor) + floor, plus the term if dropped;
     raises ConvergenceError when these add up to more than 1e-8 of the sum (as
     for |0><79| at N = 80 and z = 2.2 + 1j, where cancellation swamps the
-    density) or when the series does not settle within max_terms terms.
+    density) or when the series does not settle within _SERIES_TERMS terms.
     """
     z = complex(z)
     row0 = np.flatnonzero(psi.op[0])
@@ -229,7 +230,7 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
     sym = symbol(psi)
     total = error = 0.0
     below = 0
-    for k in range(max_terms + 1):
+    for k in range(_SERIES_TERMS + 1):
         term = abs(sym(z)) ** 2
         floor = (16.0 * _EPS * abs(StateSymbol(np.abs(sym.table))(abs(z)))) ** 2
         error += 2.0 * math.sqrt(term * floor) + floor + (0.0 if term > floor else term)
@@ -243,7 +244,7 @@ def density_series(ctx: FockContext, psi: QuantumState, z: complex, max_terms: i
             return total / (2.0 * math.pi * ctx.params.theta)
         sym = StateSymbol(deriv_z(sym).table / math.sqrt(k + 1))
     raise ConvergenceError(
-        f"density series hit the {max_terms}-term cap at z = {z} unconverged (last term "
+        f"density series hit the {_SERIES_TERMS}-term cap at z = {z} unconverged (last term "
         f"{term:.3e}); the point likely sits far outside the cutoff's safe region"
     )
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -316,13 +317,21 @@ def test_povm_suite_works_on_the_projector_in_bounded_memory(tmp_path):
         "psd_violation", "series_vs_matrix_agreement", "identity_quadrature_low_levels"]
 
 
+@pytest.mark.parametrize("cutoff", [80, 160])
+def test_povm_suite_runs_past_the_series_oracle_reach(tmp_path, cutoff):
+    # the series oracle refuses dense states that reach about level 66, so the samples must not grow with N
+    assert main(["check", "--suite", "povm", "--cutoff", str(cutoff), "--out", str(tmp_path / "p.json")]) == 0
+    assert [row["name"] for row in json.loads((tmp_path / "p.json").read_text())["checks"]] == [
+        "psd_violation", "series_vs_matrix_agreement", "identity_quadrature_low_levels"]
+
+
 def test_spectrum_commutative_csv_exact(capsys):
     code, out, _ = run(
         capsys, ["spectrum", "--theta", "0", "--levels", "6", "--format", "csv"]
     )
     assert code == 0
     assert out == (
-        "# spectrum, system=oscillator, cutoff=2, hbar=1.0, mass=1.0, omega=1.0, theta=0.0\n"
+        "# spectrum, system=oscillator, cutoff=30, hbar=1.0, mass=1.0, omega=1.0, theta=0.0\n"
         "index,energy,lz,n1,n2\n"
         "0,1.0,0.0,0,0\n"
         "1,2.0,-1.0,1,0\n"
@@ -677,6 +686,18 @@ def test_oscillator_oracle_fails_finitely_without_a_tower(capsys, monkeypatch):
     row = next(r for r in json.loads(out)["checks"] if r["name"] == "eigensolve_tower_envelope")
     assert not row["pass"] and row["value"] == 1.0
     assert "tower(s) [1, -1]" in row["note"]
+
+
+_SUITE_CUTOFFS = {"algebra": 20, "continuity": 24, "symmetry": 16, "povm": 24, "oscillator-oracle": 30}
+
+
+@pytest.mark.parametrize("given", [None, 32], ids=["default-cutoff", "cutoff-32"])
+@pytest.mark.parametrize("suite", sorted(_SUITE_CUTOFFS))
+def test_check_report_names_the_model_it_ran(capsys, suite, given):
+    argv = ["check", "--suite", suite] + ([] if given is None else ["--cutoff", str(given)])
+    report = run_json(capsys, argv)
+    assert report["params"] == asdict(ModelParams(theta=THETA, cutoff=given or _SUITE_CUTOFFS[suite]))
+    assert "config" not in report
 
 
 def test_check_report_is_self_describing(capsys):

@@ -114,7 +114,7 @@ def test_arguments_whose_square_overflows_are_refused(call):
 
 def test_coherent_state_op_is_normalized_rank_one(ctx16):
     psi = coherent_state_op(ctx16, 1.1 - 0.2j)
-    assert psi.is_normalized(tol=1e-12)
+    assert psi.is_normalized()
     evals = np.linalg.eigvalsh(np.asarray(psi.op) @ np.asarray(psi.op).conj().T)
     assert evals[-1] == pytest.approx(1.0, rel=1e-12)
     assert np.all(evals[:-1] < 1e-13)
@@ -250,11 +250,12 @@ def test_density_warns_outside_safe_region():
     assert p >= 0.0
 
 
-def test_density_series_cap_raises(ctx16):
+def test_density_series_cap_raises(ctx16, monkeypatch):
     rng = np.random.default_rng(15)
     psi = full_state(rng, 16)
-    with pytest.raises(ConvergenceError, match="cap"):
-        density_series(ctx16, psi, 1.0, max_terms=3)
+    monkeypatch.setattr(measurement, "_SERIES_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="3-term cap"):
+        density_series(ctx16, psi, 1.0)
 
 
 def test_density_series_refuses_a_sum_lost_to_cancellation():
@@ -618,7 +619,7 @@ def test_povm_vacuum_expectation_at_origin(ctx16):
 def test_post_measurement_normalizes(ctx16):
     psi = coherent_state_op(ctx16, 0.5)
     out = post_measurement(ctx16, psi, 0.5)
-    assert out.is_normalized(tol=1e-12)
+    assert out.is_normalized()
 
 
 def test_post_measurement_matches_dense_square_root():

@@ -175,7 +175,7 @@ def test_ground_state_geometric_diagonal(ctx01):
     d = np.real(np.diag(mat))
     ratio = math.exp(alpha(ctx01.params))
     assert np.allclose(d[1:] / d[:-1], ratio, rtol=1e-13)
-    assert psi0.is_normalized(tol=1e-13)
+    assert abs(psi0.norm_sq - 1) <= 1e-13
 
 
 def test_ground_state_diagonal_shift_identity(ctx01):
@@ -248,7 +248,7 @@ def test_excited_states_live_on_one_diagonal(ctx01):
         d = n1 - n2
         keep = np.diag(np.diag(mat, -d) if d >= 0 else np.diag(mat, -d), -d)
         assert np.max(np.abs(mat - keep)) == 0.0
-        assert psi.is_normalized(tol=1e-12)
+        assert psi.is_normalized()
 
 
 def test_excited_states_carry_angular_momentum(ctx01):
@@ -404,7 +404,7 @@ def test_excited_states_out_of_reach_are_refused_and_in_reach_stay_finite(ctx01)
     # rescaled at every ladder step: these once overflowed to a non-finite state
     for n1, n2 in ((100, 100), (985, 985), (980, 970)):
         psi = excited_state(ctx01, n1, n2)
-        assert psi.is_normalized(tol=1e-12) and np.count_nonzero(psi.op) > 0
+        assert psi.is_normalized() and np.count_nonzero(psi.op) > 0
     # at theta = 1 the block of (985, 985) lies below the float range of its upper levels
     with pytest.raises(TruncationError, match="raise the cutoff"):
         excited_state(build_fock(ModelParams(theta=1.0, cutoff=30)), 985, 985)
