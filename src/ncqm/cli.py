@@ -334,9 +334,7 @@ def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int) -
         raise UsageError(f"--cutoff {cutoff} leaves no room for this suite's sample states, which "
                          f"stay {margin} levels below it; use --cutoff {margin + 1} or more")
     block = rng.standard_normal((top, top)) + 1j * rng.standard_normal((top, top))
-    op = np.zeros((cutoff, cutoff), dtype=complex)
-    op[:top, :top] = block
-    return QuantumState(op).normalized()
+    return QuantumState(np.pad(block, (0, margin))).normalized()
 
 
 # ---------------------------------------------------------------- spectrum
@@ -574,10 +572,7 @@ def _suite_continuity(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     states = [_random_interior_state(rng, ctx.params.cutoff, 6) for _ in range(3)]
 
     # x1^2 as a normal-ordered coefficient table: theta/2 (b^2 + bdag^2 + 2 bdag b + 1)
-    table = np.zeros((3, 3))
-    table[0, 0] = theta / 2.0
-    table[1, 1] = theta
-    table[0, 2] = table[2, 0] = theta / 2.0
+    table = theta / 2.0 * np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
 
     rows = []
     for name, spec in (

@@ -302,7 +302,7 @@ class SuperOperator:
         out = np.zeros((self.cutoff, self.cutoff), dtype=complex)
         for left, right in self.terms:
             out += left @ psi.op @ right
-        return QuantumState(out)
+        return QuantumState(_frozen(out))
 
     @property
     def matrix(self) -> np.ndarray:

@@ -36,6 +36,7 @@ from .core import (
     TruncationError,
     UsageError,
     ValidationError,
+    _frozen,
     _readonly,
     _require_hermitian,
     _unit_offsets,
@@ -91,10 +92,12 @@ class HamiltonianSpec:
 class Hamiltonian(SuperOperator):
     """H = (P1^2 + P2^2)/2m + V as the module docstring's four terms, from ctx and the N x N V.
 
+    apply runs on the four bands, to the bits of SuperOperator.apply (same terms, same order): c r^2 + V
+    and c r^2 as elementwise products when diagonal and real, each hop as a weighted shift of psi.
     v_matrix also fixes the classes of _class_blocks; _eig holds _eig_cached's decomposition.
     """
 
-    __slots__ = ("ctx", "v_matrix", "_eig", "_lock")
+    __slots__ = ("ctx", "v_matrix", "_left", "_right", "_hop", "_root", "_eig", "_lock")
 
     def __init__(self, ctx: FockContext, v_matrix: np.ndarray):
         n = ctx.cutoff
@@ -113,8 +116,28 @@ class Hamiltonian(SuperOperator):
         super().__init__([(c_r_sq + v, eye), (eye, c_r_sq), (hop * ctx.b, ctx.bdag), (hop * ctx.bdag, ctx.b)])
         self.ctx = ctx
         self.v_matrix = v
+        self._left, self._right = (self._real_diagonal(mat) for mat in (self.terms[0][0], self.terms[1][1]))
+        self._root = np.diagonal(ctx.b, 1).real  # sqrt(m+1), m = 0 .. N-2
+        self._hop = hop * self._root
         self._eig = None
         self._lock = threading.Lock()
+
+    def apply(self, psi: QuantumState) -> QuantumState:
+        if psi.cutoff != self.cutoff:
+            raise UsageError(f"cutoff mismatch: operator {self.cutoff}, state {psi.cutoff}")
+        a, hop, root = psi.op, self._hop[:, None], self._root
+        out = np.zeros_like(a)  # accumulated from +0 like SuperOperator.apply, so no -0 survives
+        out += self.terms[0][0] @ a if self._left is None else self._left[:, None] * a
+        out += a @ self.terms[1][1] if self._right is None else a * self._right
+        out[:-1, :-1] += (hop * a[1:, 1:]) * root  # (hop b) psi b^dag
+        out[1:, 1:] += (hop * a[:-1, :-1]) * root  # (hop b^dag) psi b
+        return QuantumState(_frozen(out))
+
+    @staticmethod
+    def _real_diagonal(mat: np.ndarray) -> np.ndarray | None:
+        """The diagonal of mat when mat is diagonal with real entries, else None."""
+        d = np.diagonal(mat)
+        return None if d.imag.any() or np.count_nonzero(mat) > np.count_nonzero(d) else d.real.copy()
 
 
 def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
@@ -305,9 +328,9 @@ def spectrum_levels(h: Hamiltonian):
                 lzs = [lz] * len(cols)
             found += [(w[q], float(lz_q), idx, u) for q, lz_q, u in zip(cols, lzs, vecs.T)]
         for e, lz, idx, u in sorted(found, key=lambda r: r[1]):
-            op = np.zeros(n * n, dtype=complex)
-            op[idx] = _phase_fixed(u)
-            state = QuantumState(unvec(op, n))
+            op = np.zeros((n, n), dtype=complex)
+            vec(op)[idx] = _phase_fixed(u)
+            state = QuantumState(_frozen(op))
             yield e, state, lz, support_weight(state, guard)
         i = j
 
@@ -345,14 +368,15 @@ def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
         raise UsageError(f"cutoff mismatch: Hamiltonian {h.cutoff}, state {psi0.cutoff}")
     idx, w, v, _ = _eig_cached(h)
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = -1j * w * t / h.ctx.params.hbar
-    if not np.isfinite(phase).all():
+        wt = w * t * (1.0 / h.ctx.params.hbar)  # as numpy's complex -1j w t / hbar rounds it: times 1/hbar
+    if not np.isfinite(wt).all():
         raise NumericalError(f"the phase w t / hbar overflows double precision at t = {t}")
-    psi = np.append(vec(psi0.op), 0.0)[idx]  # a padded entry reads the zero at vec index N^2
-    coeffs = np.exp(phase) * _stack_product(v.mT, psi.conj()).conj()  # V^dag psi, V never copied
-    out = np.empty(h.cutoff**2 + 1, dtype=complex)
-    out[idx] = _stack_product(v, coeffs)
-    return QuantumState(unvec(out[:-1], h.cutoff))
+    padded = idx.size > psi0.op.size  # a padded entry reads and writes vec index N^2, past the state
+    psi = (np.append(vec(psi0.op), 0.0) if padded else vec(psi0.op))[idx]
+    coeffs = np.exp(-1j * wt) * _stack_product(v.mT, psi.conj()).conj()  # V^dag psi, V never copied
+    out = np.empty(psi0.op.size + 1 if padded else psi0.op.shape, dtype=complex)
+    vec(out)[idx] = _stack_product(v, coeffs)
+    return QuantumState(unvec(out[:-1], h.cutoff) if padded else _frozen(out))
 
 
 def boundary_defect_depth(kappa: complex, cutoff: int) -> int:
@@ -388,25 +412,24 @@ def plane_wave(ctx: FockContext, kappa: complex) -> tuple[QuantumState, float]:
         raise NumericalError(f"|kappa|^2 is not a finite float at kappa = {kappa}")
     gauge = abs(kappa) ** 2 * n
     if gauge > 4.0:
-        raise TruncationError(
-            f"|kappa|^2 N = {gauge:.2f} > 4: the wave's boundary defect would reach "
-            "into the interior; lower |kappa| or raise the cutoff"
-        )
+        raise TruncationError(f"|kappa|^2 N = {gauge!r} > 4: the wave's boundary defect would reach "
+                              "into the interior; lower |kappa| or raise the cutoff")
     energy = ctx.params.hbar**2 * abs(kappa) ** 2 / (ctx.params.mass * ctx.params.theta)
 
-    def _exp_series(mat: np.ndarray) -> np.ndarray:
-        out = np.eye(n, dtype=complex)
-        term = np.eye(n, dtype=complex)
-        for j in range(1, n):
-            term = term @ mat / j
-            out += term
-            if not term.any():
-                break
-        return out
+    left = _exp_ladder(1j * kappa, n)
+    right = _exp_ladder(1j * kappa.conjugate(), n).T  # e^{a b^dag} is e^{a b} transposed: b^dag = b^T
+    return QuantumState(_frozen(left @ right)), energy
 
-    left = _exp_series(1j * kappa * np.asarray(ctx.b))
-    right = _exp_series(1j * np.conj(kappa) * np.asarray(ctx.bdag))
-    return QuantumState(left @ right), energy
+
+def _exp_ladder(a: complex, n: int) -> np.ndarray:
+    """e^{a b} on N levels in closed form: entry (m, m+j) is a^j/j! sqrt((m+j)!/m!).
+
+    Row j of d is the running product over i <= j of (a/i) sqrt(m+i), read out at (m, m+j).
+    """
+    i = np.arange(1, n)[:, None]
+    d = np.cumprod(np.vstack((np.ones((1, n)), (a / i) * np.sqrt(i + np.arange(n)))), axis=0)
+    j = -_unit_offsets(n)  # k - m at (m, k)
+    return np.where(j >= 0, d[j % n, np.arange(n)[:, None]], 0.0)
 
 
 def interior_residual(s: SuperOperator, psi: QuantumState, eigenvalue: complex, depth: int) -> float:
@@ -418,11 +441,21 @@ def interior_residual(s: SuperOperator, psi: QuantumState, eigenvalue: complex, 
     n = psi.cutoff
     if not (0 <= depth <= n):
         raise UsageError(f"depth must be in 0 .. {n}, got {depth}")
+    if psi.norm_sq == 0.0:
+        raise UsageError("interior_residual of the zero state is undefined")
     r = s.apply(psi).op - eigenvalue * psi.op
-    if depth > 0:
-        r[n - depth:, :] = 0.0
-        r[:, n - depth:] = 0.0
+    r[n - depth:] = r[:, n - depth:] = 0.0  # depth 0 masks nothing
     return float(np.linalg.norm(r) / psi.norm)
+
+
+def _x_commutators(h: Hamiltonian, a: np.ndarray) -> tuple:
+    """[x1, a] and [x2, a] for each matrix of a, by shifts; x1 = s (b + b^dag), x2 = i s (b^dag - b)."""
+    r, s = h._root, math.sqrt(h.ctx.params.theta / 2.0)
+    ba, bda = np.zeros_like(a), np.zeros_like(a)  # [b, a] and [b^dag, a]
+    ba[..., :-1, :], bda[..., 1:, :] = r[:, None] * a[..., 1:, :], r[:, None] * a[..., :-1, :]  # b a, b^dag a
+    ba[..., 1:] -= a[..., :-1] * r  # a b: column l reads a[:, l-1] sqrt(l)
+    bda[..., :-1] -= a[..., 1:] * r  # a b^dag: column l reads a[:, l+1] sqrt(l+1)
+    return s * (ba + bda), 1j * s * (bda - ba)
 
 
 def continuity_residual(psi: QuantumState, h: Hamiltonian) -> float:
@@ -436,19 +469,16 @@ def continuity_residual(psi: QuantumState, h: Hamiltonian) -> float:
     and d rho/dt comes from dpsi/dt = -i H psi / hbar.  With the symmetric
     kinetic composition the identity is exact (roundoff only) for every state;
     any left-multiplication potential cancels between the two rho-dot terms.
+    As [x, psi^dag] = -[x, psi]^dag, j = c (M + M^dag) with M = psi^dag [x, psi], and d rho/dt = K + K^dag
+    with K = psi^dag dpsi/dt: three dense products, each commutator with x1 or x2 taken by shifts.
     """
     if not isinstance(h, Hamiltonian):
         raise UsageError("continuity_residual needs a Hamiltonian built by hamiltonian()")
-    p = h.ctx.params
-    x1, x2, a = h.ctx.x1, h.ctx.x2, psi.op
+    p, a = h.ctx.params, psi.op
     adag = a.conj().T
-
-    psi_dot = -1j / p.hbar * h.apply(psi).op
-    rho_dot = psi_dot.conj().T @ a + adag @ psi_dot
-
+    k = adag @ (-1j / p.hbar * h.apply(psi).op)
     c = p.hbar / (2.0 * p.mass * 1j * p.theta**2)
-    j1 = c * (adag @ (x2 @ a - a @ x2) - (x2 @ adag - adag @ x2) @ a)
-    j2 = c * (adag @ (x1 @ a - a @ x1) - (x1 @ adag - adag @ x1) @ a)
-
-    resid = rho_dot - (x2 @ j1 - j1 @ x2) - (x1 @ j2 - j2 @ x1)
-    return float(np.linalg.norm(resid))
+    d1, d2 = _x_commutators(h, a)
+    m = adag @ np.stack((d2, d1))
+    x1_j, x2_j = _x_commutators(h, c * (m + m.conj().mT))  # [x, .] of the stack (j1, j2)
+    return float(np.linalg.norm(k + k.conj().T - x2_j[0] - x1_j[1]))

@@ -170,6 +170,32 @@ def test_potential_table_assembles_normal_ordered_sum(ctx12):
     assert (x1sq - h.v_matrix)[n - 1, n - 1] == pytest.approx(-0.5 * theta * n, rel=1e-14)
 
 
+def _apply_states(rng, n):
+    # dense, with exact zeros (whole rows and columns, the boundary included), and real with signed zeros
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    holes = dense * (rng.random((n, n)) < 0.6)
+    holes[0], holes[:, -1] = 0.0, 0.0
+    real = np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n))).astype(complex)
+    return [QuantumState(a) for a in (dense, holes, real)]
+
+
+@pytest.mark.parametrize("kind", [*SPECS, "diagonal-table"])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 28, 32])
+def test_hamiltonian_apply_equals_the_term_sum_bit_for_bit(kind, cutoff):
+    # the four bands against SuperOperator.apply's four dense products, byte for byte
+    spec = SPECS.get(kind) or HamiltonianSpec("potential", potential_coeffs=diagonal_table())
+    for params in (ModelParams(0.1, cutoff=cutoff), ModelParams(0.7, hbar=1.3, mass=0.8, cutoff=cutoff)):
+        h = hamiltonian(build_fock(params), spec)
+        # b^2 and bdag^2 vanish at N = 2, so every table is diagonal there
+        assert (h._left is None) == (kind in ("x1-squared-table", "complex-table") and cutoff > 2)
+        for psi in _apply_states(np.random.default_rng(cutoff), cutoff):
+            got, want = h.apply(psi).op, SuperOperator.apply(h, psi).op
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+    with pytest.raises(UsageError, match="cutoff mismatch"):
+        h.apply(QuantumState(np.eye(cutoff + 1)))
+
+
 # ---------------------------------------------------------------- spectrum
 
 def test_spectrum_ascending_and_orthonormal(ctx12):
@@ -710,6 +736,30 @@ def test_plane_wave_truncation_gate():
     ctx = build_fock(ModelParams(theta=0.1, cutoff=30))
     with pytest.raises(TruncationError, match="kappa"):
         plane_wave(ctx, 2.0)
+    # 0.1^2 rounds up, so |kappa|^2 N is just past 4 at N = 400: refused, and the message says by how much
+    with pytest.raises(TruncationError, match=r"\|kappa\|\^2 N = 4\.000000000000001 > 4"):
+        plane_wave(build_fock(ModelParams(theta=0.1, cutoff=400)), 0.1)
+
+
+def series_plane_wave(ctx, kappa):
+    # the truncated series e^{i kappa b} e^{i conj(kappa) b^dag}, summed as dense matrix powers
+    def exp_series(mat):
+        out = term = np.eye(ctx.cutoff, dtype=complex)
+        for j in range(1, ctx.cutoff):
+            term = term @ mat / j
+            out = out + term
+        return out
+    return exp_series(1j * kappa * ctx.b) @ exp_series(1j * np.conj(kappa) * ctx.bdag)
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 40, 160])
+def test_plane_wave_closed_form_matches_the_series(cutoff):
+    ctx = build_fock(ModelParams(theta=0.1, cutoff=cutoff))
+    edge = 2.0 / math.sqrt(cutoff) * (1.0 - 1e-15)  # |kappa|^2 N at the bound of 4
+    for kappa in (0.0, 0.5 * edge, edge, edge * np.exp(0.7j), -1j * edge):
+        psi, _ = plane_wave(ctx, kappa)
+        want = series_plane_wave(ctx, complex(kappa))
+        assert np.linalg.norm(psi.op - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_boundary_defect_depth_contract():
@@ -728,6 +778,13 @@ def test_interior_residual_depth_validation(ctx12):
         interior_residual(h, psi, 0.0, 13)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interior_residual_refuses_the_zero_state(ctx12):
+    # a residual relative to a zero norm is undefined, as support_weight's is: refused, not NaN
+    with pytest.raises(UsageError, match="zero state"):
+        interior_residual(hamiltonian(ctx12, FREE), QuantumState(np.zeros((12, 12))), 0.0, 0)
+
+
 # ---------------------------------------------------------------- continuity
 
 @pytest.mark.parametrize(
@@ -742,6 +799,53 @@ def test_continuity_identity_every_state(spec):
     rng = np.random.default_rng(8)
     for psi in (full_state(rng, 16), interior_state(rng, 16, 4)):
         assert continuity_residual(psi, h) < 1e-10
+
+
+def product_continuity_residual(psi, h):
+    # the currents as written, j = c (psi^dag [x, psi] - [x, psi^dag] psi), from dense products only
+    p = h.ctx.params
+    x1, x2, a = h.ctx.x1, h.ctx.x2, psi.op
+    adag = a.conj().T
+    psi_dot = -1j / p.hbar * h.apply(psi).op
+    rho_dot = psi_dot.conj().T @ a + adag @ psi_dot
+    c = p.hbar / (2.0 * p.mass * 1j * p.theta**2)
+    j1 = c * (adag @ (x2 @ a - a @ x2) - (x2 @ adag - adag @ x2) @ a)
+    j2 = c * (adag @ (x1 @ a - a @ x1) - (x1 @ adag - adag @ x1) @ a)
+    return float(np.linalg.norm(rho_dot - (x2 @ j1 - j1 @ x2) - (x1 @ j2 - j2 @ x1)))
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_continuity_matches_the_dense_product_formula(kind, monkeypatch):
+    ctx = build_fock(ModelParams(theta=0.3, hbar=1.3, mass=0.8, cutoff=20))
+    h = hamiltonian(ctx, SPECS[kind])
+    rng = np.random.default_rng(5)
+    states = (full_state(rng, 20), interior_state(rng, 20, 4))
+    for psi in states:  # both read roundoff on a true Hamiltonian
+        assert continuity_residual(psi, h) < 1e-10 and product_continuity_residual(psi, h) < 1e-10
+    # a flow that breaks the identity, by 10% of H: both formulas read the same O(1) defect
+    broken = lambda h, psi: QuantumState(1.1 * SuperOperator.apply(h, psi).op)  # noqa: E731
+    monkeypatch.setattr(Hamiltonian, "apply", broken)
+    for psi in states:
+        want = product_continuity_residual(psi, h)
+        assert want > 1e-3
+        assert continuity_residual(psi, h) == pytest.approx(want, rel=1e-12)
+
+
+def test_continuity_commutators_by_shifts_match_the_products():
+    ctx = build_fock(ModelParams(theta=0.3, cutoff=17))
+    h = hamiltonian(ctx, FREE)
+    a = full_state(np.random.default_rng(6), 17).op
+    for got, x in zip(dynamics._x_commutators(h, a), (ctx.x1, ctx.x2)):
+        assert np.max(np.abs(got - (x @ a - a @ x))) < 1e-15
+
+
+def test_continuity_holds_at_cutoff_160():
+    ctx = build_fock(ModelParams(theta=0.1, cutoff=160))
+    rng = np.random.default_rng(9)
+    for spec in (FREE, OSC):
+        h = hamiltonian(ctx, spec)
+        for psi in (full_state(rng, 160), interior_state(rng, 160, 6)):
+            assert continuity_residual(psi, h) < 1e-8
 
 
 def test_continuity_excited_state(ctx12):
