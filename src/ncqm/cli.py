@@ -327,14 +327,17 @@ def _build_state(kind: str, detail, opts: dict, default: int | None = None):
     return ctx, psi, extent, notes
 
 
-def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int) -> QuantumState:
-    """Seeded dense random state supported strictly below level cutoff - margin."""
-    top = cutoff - margin
-    if top < 1:
-        raise UsageError(f"--cutoff {cutoff} leaves no room for this suite's sample states, which "
-                         f"stay {margin} levels below it; use --cutoff {margin + 1} or more")
+def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int, least: int = 1) -> QuantumState:
+    """Seeded dense random state on the lowest min(cutoff - margin, 48) levels, at least `least` of them.
+
+    The cap keeps the roundoff residuals, which grow with the levels a sample reaches, flat in the cutoff.
+    """
+    top = min(cutoff - margin, 48)
+    if top < least:
+        raise UsageError(f"--cutoff {cutoff} leaves too little room for this suite's sample states, which need "
+                         f"{least} or more levels {margin} below the cutoff; use --cutoff {margin + least} or more")
     block = rng.standard_normal((top, top)) + 1j * rng.standard_normal((top, top))
-    return QuantumState(np.pad(block, (0, margin))).normalized()
+    return QuantumState(np.pad(block, (0, cutoff - top))).normalized()
 
 
 # ---------------------------------------------------------------- spectrum
@@ -592,7 +595,8 @@ def _suite_symmetry(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     (x1, x2), (p1, p2), lz = position_ops(ctx), momentum_ops(ctx), angular_momentum(ctx)
     h = hamiltonian(ctx, HamiltonianSpec("oscillator"))
     a1, a1d, a2, a2d = ladder_ops(ctx)
-    states = [_random_interior_state(rng, params.cutoff, 6) for _ in range(3)]
+    # a one-level sample is |0><0|, which Lz annihilates, so time reversal could not break anything
+    states = [_random_interior_state(rng, params.cutoff, 6, least=2) for _ in range(3)]
 
     def conj_residual(s, target):
         """max ||Theta(S(Theta psi)) - target(psi)|| over the sample states."""
@@ -660,7 +664,7 @@ def _suite_povm(ctx: FockContext, rng: np.random.Generator) -> list[dict]:
     # the series oracle refuses dense states reaching about level 66 (their terms cancel below roundoff)
     # and sums as many terms as row 0 is long, at most 200, so every sample stays below level 48
     low = min(cutoff, 48)
-    states = [_random_interior_state(rng, cutoff, max(6, cutoff - low)) for _ in range(2)]
+    states = [_random_interior_state(rng, cutoff, 6) for _ in range(2)]
     coherent = coherent_state_op(build_fock(replace(ctx.params, cutoff=low)), 0.3).op
     states.append(QuantumState(np.pad(coherent, (0, cutoff - low))))
     worst = 0.0

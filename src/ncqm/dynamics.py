@@ -36,6 +36,7 @@ from .core import (
     TruncationError,
     UsageError,
     ValidationError,
+    _bands,
     _frozen,
     _readonly,
     _require_hermitian,
@@ -90,14 +91,14 @@ class HamiltonianSpec:
 
 
 class Hamiltonian(SuperOperator):
-    """H = (P1^2 + P2^2)/2m + V as the module docstring's four terms, from ctx and the N x N V.
+    """H = (P1^2 + P2^2)/2m + V as the module docstring's terms, from ctx and the N x N V.
 
-    apply runs on the four bands, to the bits of SuperOperator.apply (same terms, same order): c r^2 + V
-    and c r^2 as elementwise products when diagonal and real, each hop as a weighted shift of psi.
-    v_matrix also fixes the classes of _class_blocks; _eig holds _eig_cached's decomposition.
+    c r^2 + V and c r^2 give one term per band, on the left and on the right,
+    and the two hops one term each.  v_matrix also fixes the classes of
+    _class_blocks; _eig holds _eig_cached's decomposition.
     """
 
-    __slots__ = ("ctx", "v_matrix", "_left", "_right", "_hop", "_root", "_eig", "_lock")
+    __slots__ = ("ctx", "v_matrix", "_eig", "_lock")
 
     def __init__(self, ctx: FockContext, v_matrix: np.ndarray):
         n = ctx.cutoff
@@ -110,34 +111,16 @@ class Hamiltonian(SuperOperator):
         if not math.isfinite(c):
             raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
                                      "hbar^2/(2 m theta^2) is not a finite float")
-        eye = np.eye(n, dtype=complex)
         c_r_sq = c * ctx.r_sq
         hop = -2.0 * c * p.theta
-        super().__init__([(c_r_sq + v, eye), (eye, c_r_sq), (hop * ctx.b, ctx.bdag), (hop * ctx.bdag, ctx.b)])
+        (k, root), = _bands(ctx.b)  # b^dag is the band (-k, root)
+        super().__init__(n, [(band, None) for band in _bands(c_r_sq + v)]
+                         + [(None, band) for band in _bands(c_r_sq)]
+                         + [((k, hop * root), (-k, root)), ((-k, hop * root), (k, root))])
         self.ctx = ctx
         self.v_matrix = v
-        self._left, self._right = (self._real_diagonal(mat) for mat in (self.terms[0][0], self.terms[1][1]))
-        self._root = np.diagonal(ctx.b, 1).real  # sqrt(m+1), m = 0 .. N-2
-        self._hop = hop * self._root
         self._eig = None
         self._lock = threading.Lock()
-
-    def apply(self, psi: QuantumState) -> QuantumState:
-        if psi.cutoff != self.cutoff:
-            raise UsageError(f"cutoff mismatch: operator {self.cutoff}, state {psi.cutoff}")
-        a, hop, root = psi.op, self._hop[:, None], self._root
-        out = np.zeros_like(a)  # accumulated from +0 like SuperOperator.apply, so no -0 survives
-        out += self.terms[0][0] @ a if self._left is None else self._left[:, None] * a
-        out += a @ self.terms[1][1] if self._right is None else a * self._right
-        out[:-1, :-1] += (hop * a[1:, 1:]) * root  # (hop b) psi b^dag
-        out[1:, 1:] += (hop * a[:-1, :-1]) * root  # (hop b^dag) psi b
-        return QuantumState(_frozen(out))
-
-    @staticmethod
-    def _real_diagonal(mat: np.ndarray) -> np.ndarray | None:
-        """The diagonal of mat when mat is diagonal with real entries, else None."""
-        d = np.diagonal(mat)
-        return None if d.imag.any() or np.count_nonzero(mat) > np.count_nonzero(d) else d.real.copy()
 
 
 def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
@@ -215,31 +198,30 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     c holds sectors c and c - N, each unit |m><l| at place l; else the g classes
     k mod g have label None, one per slot, each unit at its rank in vec order
     within its class, padded to the largest.  A term (L, R) takes |q><r| to
-    |p><s| with weight L[p, q] R[r, s], so only the products of its nonzeros are
-    formed (from the real parts if no term has an imaginary part: (a + 0i)(b + 0i)
-    = ab), and np.add.at adds each straight into the zeroed eigenvector stack at
-    (slot, place of |p><s|, place of |q><r|), with no N^2 x N^2 matrix.
-    np.linalg.eigh then solves each block where it lies, in real arithmetic if
-    its imaginary part is exactly zero.  The hops are each other's adjoints, so H
-    is Hermitian iff c r^2 + V and c r^2 are; a defect there, or a product joining
-    two classes, raises ConsistencyError before the scatter.
+    |p><s| with weight L[p, q] R[r, s], so only the products of its bands'
+    nonzeros are formed (real when both bands are), and np.add.at adds each
+    straight into the zeroed eigenvector stack at (slot, place of |p><s|, place
+    of |q><r|), with no N^2 x N^2 matrix.  np.linalg.eigh then solves each block
+    where it lies, in real arithmetic if its imaginary part is exactly zero.  The
+    hops are each other's adjoints, so H is Hermitian iff c r^2 + V and c r^2
+    are; a defect there, or a product joining two classes, raises
+    ConsistencyError before the scatter.
     """
     n = h.cutoff
     k = _unit_offsets(n).reshape(-1)
     g = math.gcd(*np.abs(k[h.v_matrix.reshape(-1) != 0]).tolist())
-    terms = h.terms
-    _require_hermitian(np.stack((terms[0][0], terms[1][1])), ConsistencyError, "Hamiltonian")
-    if not any(left.imag.any() or right.imag.any() for left, right in terms):
-        terms = [(left.real, right.real) for left, right in terms]
+    sides = ([left for left, right in h.terms if right is None], [right for left, right in h.terms if left is None])
+    _require_hermitian(np.stack([sum((np.diag(w, d) for d, w in side), np.zeros((n, n))) for side in sides]),
+                       ConsistencyError, "Hamiltonian")
     # each unit's class (sector k, or k mod g), its slot and its place in the slot
     cls = k if g == 0 else k % g
     slot, place = cls % (g or n), np.arange(n * n) % n
     for c in range(g):
         place[cls == c] = np.arange(np.count_nonzero(cls == c))
-    nz = [(np.nonzero(left), np.nonzero(right), left, right) for left, right in terms]
-    rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _), (_, s), _, _ in nz])
-    cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q), (r, _), _, _ in nz])
-    vals = np.concatenate([np.multiply.outer(L[p, q], R[r, s]).ravel() for (p, q), (r, s), L, R in nz])
+    nz = [(_nonzeros(left, n), _nonzeros(right, n)) for left, right in h.terms]
+    rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _, _), (_, s, _) in nz])
+    cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q, _), (r, _, _) in nz])
+    vals = np.concatenate([np.multiply.outer(x, y).ravel() for (_, _, x), (_, _, y) in nz])
     if (cls[rows] != cls[cols]).any():
         raise ConsistencyError("a Hamiltonian term joins matrix units of two classes")
     idx = np.full((g or n, place.max() + 1), n * n)
@@ -255,6 +237,13 @@ def _class_blocks(h: Hamiltonian) -> tuple:
         w[s, at], v[s, at, at] = np.linalg.eigh(mat if mat.imag.any() else mat.real)
         blocks.append((idx[s, at], h.ctx.params.hbar * -c if g == 0 else None, w[s, at], v[s, at, at]))
     return idx, w, v, blocks
+
+
+def _nonzeros(side, n: int) -> tuple:
+    """(rows, columns, values) of the nonzero entries of a band side; None is the identity, band (0, 1)."""
+    k, w = side or (0, np.ones(n))
+    i = np.flatnonzero(w)
+    return i + max(-k, 0), i + max(k, 0), w[i]
 
 
 def _eig_cached(h: Hamiltonian) -> tuple:
@@ -450,7 +439,7 @@ def interior_residual(s: SuperOperator, psi: QuantumState, eigenvalue: complex, 
 
 def _x_commutators(h: Hamiltonian, a: np.ndarray) -> tuple:
     """[x1, a] and [x2, a] for each matrix of a, by shifts; x1 = s (b + b^dag), x2 = i s (b^dag - b)."""
-    r, s = h._root, math.sqrt(h.ctx.params.theta / 2.0)
+    ((_, r),), s = _bands(h.ctx.b), math.sqrt(h.ctx.params.theta / 2.0)  # r = sqrt(l + 1)
     ba, bda = np.zeros_like(a), np.zeros_like(a)  # [b, a] and [b^dag, a]
     ba[..., :-1, :], bda[..., 1:, :] = r[:, None] * a[..., 1:, :], r[:, None] * a[..., :-1, :]  # b a, b^dag a
     ba[..., 1:] -= a[..., :-1] * r  # a b: column l reads a[:, l-1] sqrt(l)

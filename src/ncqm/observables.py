@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FockContext, QuantumState, SuperOperator, _unit_offsets
+from .core import FockContext, QuantumState, SuperOperator, _bands, _unit_offsets
 
 __all__ = [
     "position_ops",
@@ -26,14 +26,14 @@ __all__ = [
 
 
 def _left_mult(op: np.ndarray) -> SuperOperator:
-    eye = np.eye(op.shape[0], dtype=complex)
-    return SuperOperator([(op, eye)])
+    """psi -> op psi, one term per band of op."""
+    return SuperOperator(op.shape[0], [(band, None) for band in _bands(op)])
 
 
 def _commutator_action(op: np.ndarray) -> SuperOperator:
-    """psi -> [op, psi] as a two-term superoperator."""
-    eye = np.eye(op.shape[0], dtype=complex)
-    return SuperOperator([(op, eye), (-eye, op)])
+    """psi -> [op, psi]: each band of op on the left, and negated on the right."""
+    bands = _bands(op)
+    return SuperOperator(op.shape[0], [(band, None) for band in bands] + [(None, (k, -w)) for k, w in bands])
 
 
 def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
@@ -76,7 +76,7 @@ def time_reverse_conjugate(s: SuperOperator) -> SuperOperator:
     """The linear map Theta S Theta^{-1}, computed termwise.
 
     Theta(sum_t L_t psi^dag R_t)^, applied to psi, equals sum_t R_t^dag psi L_t^dag,
-    so conjugation swaps and daggers each term.  Anti-linear Theta itself has no
-    matrix form; this is the only materializable combination.
+    so conjugation swaps the sides of each term of S^dag.  Anti-linear Theta itself
+    has no matrix form; this is the only materializable combination.
     """
-    return SuperOperator([(right.conj().T, left.conj().T) for left, right in s.terms])
+    return SuperOperator(s.cutoff, [(right, left) for left, right in s.dagger().terms])

@@ -32,6 +32,7 @@ from .core import (
     SuperOperator,
     TruncationError,
     UsageError,
+    _bands,
 )
 
 __all__ = [
@@ -236,9 +237,9 @@ def ladder_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator, SuperOpe
     psi_0 = e^{alpha b^dag b}, and [A_i, A_j^dag] = delta_ij on supported states.
     """
     a1, c1, a2, c2 = _ladder_coeffs(ctx.params)
-    eye, b, bdag = np.eye(ctx.cutoff, dtype=complex), ctx.b, ctx.bdag
-    return tuple(SuperOperator([(a * op, eye), (c * eye, op)])
-                 for a, c, op in ((a1, c1, b), (a1, c1, bdag), (a2, c2, bdag), (a2, c2, b)))
+    n, ((k, w),) = ctx.cutoff, _bands(ctx.b)  # b^dag is the band (-k, w)
+    return tuple(a * SuperOperator(n, [(band, None)]) + c * SuperOperator(n, [(None, band)])
+                 for a, c, band in ((a1, c1, (k, w)), (a1, c1, (-k, w)), (a2, c2, (-k, w)), (a2, c2, (k, w))))
 
 
 def ground_tail_weight(params: ModelParams) -> float:

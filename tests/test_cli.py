@@ -656,8 +656,17 @@ def test_fast_suites_pass(capsys, suite):
     assert report["suite"] == suite
 
 
+@pytest.mark.parametrize("suite", ["algebra", "symmetry"])
+def test_fast_suites_pass_at_cutoff_400(capsys, suite):
+    # the samples keep to the lowest 48 levels, so the roundoff residuals stop growing with the cutoff
+    code, out, _ = run(capsys, ["check", "--suite", suite, "--cutoff", "400"])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["params"]["cutoff"] == 400
+
+
 @pytest.mark.parametrize("suite,cutoff,least", [
-    ("algebra", 3, 4), ("continuity", 6, 7), ("symmetry", 2, 7), ("povm", 6, 7),
+    # symmetry's samples need two levels: on one, |0><0|, Lz vanishes and the breaking row reads 0
+    ("algebra", 3, 4), ("continuity", 6, 7), ("symmetry", 2, 8), ("symmetry", 7, 8), ("povm", 6, 7),
 ])
 def test_suites_refuse_a_cutoff_without_room_for_their_sample_states(capsys, suite, cutoff, least):
     code, out, err = run(capsys, ["check", "--suite", suite, "--cutoff", str(cutoff)])

@@ -18,10 +18,11 @@ from ncqm import (
     coherent_state_op,
     hs_inner,
     support_weight,
+    time_reverse_conjugate,
     unvec,
     vec,
 )
-from conftest import full_state, interior_state
+from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state, random_superop
 
 
 # ---------------------------------------------------------------- parameters
@@ -224,45 +225,64 @@ def test_vec_unvec_roundtrip(cutoff, seed):
 
 # ---------------------------------------------------------------- superoperators
 
-def _random_superop(rng, cutoff, nterms=3):
-    terms = [
-        (
-            rng.standard_normal((cutoff, cutoff)) + 1j * rng.standard_normal((cutoff, cutoff)),
-            rng.standard_normal((cutoff, cutoff)) + 1j * rng.standard_normal((cutoff, cutoff)),
-        )
-        for _ in range(nterms)
-    ]
-    return SuperOperator(terms)
-
-
 def test_superop_rejects_empty_or_ragged_terms():
-    with pytest.raises(UsageError):
-        SuperOperator([])
-    with pytest.raises(UsageError):
-        SuperOperator([(np.eye(3), np.eye(4))])
-    with pytest.raises(UsageError):
-        SuperOperator([(np.eye(3), np.eye(3)), (np.eye(4), np.eye(4))])
+    # an empty term list, an offset outside the block, or a band of the wrong length
+    with pytest.raises(UsageError, match="at least one"):
+        SuperOperator(3, [])
+    for bad in ((3, np.ones(0)), (-3, np.ones(0)), (1, np.ones(3)), (0, np.ones(2)), (0, np.ones((3, 1)))):
+        for term in ((bad, None), (None, bad), ((0, np.ones(3)), bad)):
+            with pytest.raises(UsageError, match="cutoff 3 needs"):
+                SuperOperator(3, [term])
 
 
 def test_apply_matches_materialized_matrix(rng):
-    s = _random_superop(rng, 6)
+    s = random_superop(rng, 6)
     psi = full_state(rng, 6)
     direct = s.apply(psi).op
     via_matrix = unvec(s.matrix @ vec(psi.op), 6)
     assert np.max(np.abs(direct - via_matrix)) < 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 32])
+def test_band_apply_matches_the_dense_terms(rng, cutoff):
+    s = random_superop(rng, cutoff, nterms=6)
+    for psi in (full_state(rng, cutoff), interior_state(rng, cutoff, cutoff // 2)):
+        got = s.apply(psi).op
+        assert not got.flags.writeable
+        assert np.max(np.abs(got - dense_apply(s, psi))) <= 1e-15 * apply_scale(s, psi)
+
+
 def test_dagger_is_adjoint_for_hs_inner(rng):
-    s = _random_superop(rng, 6)
+    s = random_superop(rng, 6)
     phi, psi = full_state(rng, 6), full_state(rng, 6)
     lhs = hs_inner(phi, s.apply(psi))
     rhs = hs_inner(s.dagger().apply(phi), psi)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 8])
+def test_band_algebra_matches_the_dense_sides(rng, cutoff):
+    # @, dagger and time_reverse_conjugate against the dense product and conjugate transpose;
+    # at N = 2 and 3 some products leave the block and are dropped
+    s1, s2 = random_superop(rng, cutoff), random_superop(rng, cutoff)
+    want = s1.matrix @ s2.matrix
+    assert np.max(np.abs((s1 @ s2).matrix - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(s1.dagger().matrix, s1.matrix.conj().T)
+    flipped = [(right.conj().T, left.conj().T) for left, right in dense_sides(s1)]
+    for got, want in zip(dense_sides(time_reverse_conjugate(s1)), flipped, strict=True):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_a_product_of_bands_past_the_block_is_zero():
+    b = SuperOperator(3, [((1, np.ones(2)), None)])
+    zero = b @ b @ b  # b^3 = 0 on three levels
+    assert np.array_equal(zero.matrix, np.zeros((9, 9)))
+    assert not zero.apply(QuantumState(np.ones((3, 3)))).op.any()
+
+
 def test_compose_add_scale_match_pointwise_actions(rng):
-    s1 = _random_superop(rng, 5)
-    s2 = _random_superop(rng, 5)
+    s1 = random_superop(rng, 5)
+    s2 = random_superop(rng, 5)
     psi = full_state(rng, 5)
     scale = np.max(np.abs(s1.apply(s2.apply(psi)).op))
     assert np.max(np.abs((s1 @ s2).apply(psi).op - s1.apply(s2.apply(psi)).op)) < 1e-12 * scale
@@ -273,24 +293,27 @@ def test_compose_add_scale_match_pointwise_actions(rng):
 
 
 def test_frozen_terms_are_shared_and_other_inputs_copied(rng):
-    a, b = _random_superop(rng, 5), _random_superop(rng, 5)
+    a, b = random_superop(rng, 5), random_superop(rng, 5)
     total = a + b
-    assert all(x is y for pair, old in zip(total.terms, a.terms + b.terms) for x, y in zip(pair, old))
+    for new, old in zip(total.terms, a.terms + b.terms, strict=True):
+        for x, y in zip(new, old):
+            assert (x is None and y is None) or x[1] is y[1]
     psi = full_state(rng, 5)
     assert QuantumState(psi.op).op is psi.op
 
-    base = np.eye(5, dtype=complex)
+    base = np.ones(5)
     view = base[:]
     view.setflags(write=False)  # frozen, but base can still change it
-    for left in (base, view):
-        s = SuperOperator([(left, base)])
-        assert s.terms[0][0] is not left and not s.terms[0][0].flags.writeable
-    base[0, 0] = 7.0
-    assert s.terms[0][0][0, 0] == 1.0 and s.terms[0][1][0, 0] == 1.0
+    for w in (base, view, base + 0j):
+        s = SuperOperator(5, [((0, w), None)])
+        kept = s.terms[0][0][1]
+        assert kept is not w and not kept.flags.writeable and kept.dtype == float  # no imaginary part: real
+    base[0] = 7.0
+    assert kept[0] == 1.0 and s.terms[0][1] is None
 
 
 def test_superop_cutoff_mismatch_raises(rng):
-    s5, s6 = _random_superop(rng, 5), _random_superop(rng, 6)
+    s5, s6 = random_superop(rng, 5), random_superop(rng, 6)
     with pytest.raises(UsageError):
         s5.apply(full_state(rng, 6))
     with pytest.raises(UsageError):

@@ -22,6 +22,7 @@ from ncqm import (
     TruncationError,
     UsageError,
     ValidationError,
+    angular_momentum,
     boundary_defect_depth,
     build_fock,
     continuity_residual,
@@ -32,13 +33,16 @@ from ncqm import (
     hamiltonian,
     hs_inner,
     interior_residual,
+    ladder_ops,
+    momentum_ops,
     plane_wave,
+    position_ops,
     solve_spectrum,
     spectrum_levels,
     vec,
 )
 from ncqm import dynamics
-from conftest import full_state, interior_state
+from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state
 
 FREE = HamiltonianSpec("free")
 OSC = HamiltonianSpec("oscillator")
@@ -145,7 +149,9 @@ SPECS = {
 def test_hamiltonian_matches_kron_oracle(ctx12, kind):
     # the four banded terms against the double commutators, for every kind of potential
     h = hamiltonian(ctx12, SPECS[kind])
-    assert len(h.terms) == 4
+    # c r^2 + V one term per band (three for the tables), c r^2 on the right and the two hops
+    assert len(h.terms) == (6 if kind.endswith("table") else 4)
+    assert all(side is None or side[1].ndim == 1 for term in h.terms for side in term)
     v = oracle_potential(ctx12, kind)
     assert np.max(np.abs(h.v_matrix - v)) < 1e-15
     assert kind != "free" or not h.v_matrix.any()
@@ -182,18 +188,46 @@ def _apply_states(rng, n):
 @pytest.mark.parametrize("kind", [*SPECS, "diagonal-table"])
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 28, 32])
 def test_hamiltonian_apply_equals_the_term_sum_bit_for_bit(kind, cutoff):
-    # the four bands against SuperOperator.apply's four dense products, byte for byte
+    # the bands against the dense products of their sides: byte for byte where every side is one
+    # band, within 1e-15 of the scale where c r^2 + V has three (a band sum against a matrix product)
     spec = SPECS.get(kind) or HamiltonianSpec("potential", potential_coeffs=diagonal_table())
     for params in (ModelParams(0.1, cutoff=cutoff), ModelParams(0.7, hbar=1.3, mass=0.8, cutoff=cutoff)):
         h = hamiltonian(build_fock(params), spec)
         # b^2 and bdag^2 vanish at N = 2, so every table is diagonal there
-        assert (h._left is None) == (kind in ("x1-squared-table", "complex-table") and cutoff > 2)
+        banded = kind in ("x1-squared-table", "complex-table") and cutoff > 2
+        assert len(h.terms) == (6 if banded else 4)
         for psi in _apply_states(np.random.default_rng(cutoff), cutoff):
-            got, want = h.apply(psi).op, SuperOperator.apply(h, psi).op
-            assert got.tobytes() == want.tobytes()
+            got, want = h.apply(psi).op, dense_apply(h, psi)
+            if banded:
+                assert np.max(np.abs(got - want)) <= 1e-15 * apply_scale(h, psi)
+            else:
+                assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
     with pytest.raises(UsageError, match="cutoff mismatch"):
         h.apply(QuantumState(np.eye(cutoff + 1)))
+
+
+def _every_operator(ctx):
+    """Each superoperator the package builds, by name."""
+    (x1, x2), (p1, p2) = position_ops(ctx), momentum_ops(ctx)
+    ops = {"X1": x1, "X2": x2, "P1": p1, "P2": p2, "Lz": angular_momentum(ctx)}
+    ops.update(zip(("A1", "A1dag", "A2", "A2dag"), ladder_ops(ctx)))
+    for kind in [*SPECS, "diagonal-table"]:
+        ops[kind] = hamiltonian(ctx, SPECS.get(kind) or HamiltonianSpec("potential", potential_coeffs=diagonal_table()))
+    return ops
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 32, 160])
+def test_every_operator_applies_as_its_dense_terms(cutoff):
+    ctx = build_fock(ModelParams(0.7, hbar=1.3, mass=0.8, cutoff=cutoff))
+    rng = np.random.default_rng(cutoff)
+    states = (full_state(rng, cutoff), _apply_states(rng, cutoff)[1])
+    for name, op in _every_operator(ctx).items():
+        # one band per side, None for the identity: no side holds an N x N matrix
+        assert all(side is None or side[1].shape == (cutoff - abs(side[0]),) for t in op.terms for side in t), name
+        for psi in states:
+            err = np.max(np.abs(op.apply(psi).op - dense_apply(op, psi)))
+            assert err <= 1e-15 * apply_scale(op, psi), name
 
 
 # ---------------------------------------------------------------- spectrum
@@ -239,7 +273,7 @@ def test_spectrum_count_validation(ctx12):
     with pytest.raises(UsageError):
         solve_spectrum(h, 12 * 12 + 1)
     with pytest.raises(UsageError):
-        solve_spectrum(SuperOperator([(np.eye(4, dtype=complex), np.eye(4, dtype=complex))]), 1)
+        solve_spectrum(SuperOperator(4, [(None, None)]), 1)
 
 
 def test_spectrum_levels_builds_only_what_is_read(monkeypatch):
@@ -268,7 +302,7 @@ def test_spectrum_levels_builds_only_what_is_read(monkeypatch):
 
 
 def test_spectrum_levels_refuses_a_non_hamiltonian_on_first_next():
-    stream = spectrum_levels(SuperOperator([(np.eye(4, dtype=complex), np.eye(4, dtype=complex))]))
+    stream = spectrum_levels(SuperOperator(4, [(None, None)]))
     with pytest.raises(UsageError):
         next(stream)
 
@@ -459,18 +493,19 @@ def test_a_term_joining_two_classes_is_refused(ctx12):
 
 
 def gathered_class_blocks(h):
-    """The class decomposition with each block gathered from all unit pairs of the four terms.
+    """The class decomposition with each block gathered from all unit pairs of the dense terms.
 
-    The assembly that the scatter over the terms' nonzeros replaced, kept as its
-    oracle: (blocks as passed to eigh, (idx, w, v, per-class views)).
+    The assembly that the scatter over the bands' nonzeros replaced, kept as its
+    oracle: (blocks as passed to eigh, (idx, w, v, per-class views)).  Every
+    product is complex if any side is, as when the terms were dense complex matrices.
     """
     n = h.cutoff
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
     g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
     m, l = np.divmod(np.arange(n * n), n)
-    terms = h.terms
-    if not any(left.imag.any() or right.imag.any() for left, right in terms):
-        terms = [(left.real, right.real) for left, right in terms]
+    terms = dense_sides(h)
+    if any(left.imag.any() or right.imag.any() for left, right in terms):
+        terms = [(left.astype(complex), right.astype(complex)) for left, right in terms]
     if g == 0:
         idx = ((m + l) % n * n + l).reshape(n, n)
         where = {k: (k % n, slice(max(-k, 0), n - max(k, 0))) for k in range(1 - n, n)}
@@ -695,7 +730,7 @@ def test_racing_first_evolves_fill_the_cache_once(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_requires_hamiltonian(ctx12):
     psi = QuantumState(np.eye(12, dtype=complex))
-    s = SuperOperator([(np.eye(12, dtype=complex), np.eye(12, dtype=complex))])
+    s = SuperOperator(12, [(None, None)])
     with pytest.raises(UsageError):
         evolve(psi, s, 1.0)
     with pytest.raises(UsageError, match="cutoff"):

@@ -22,7 +22,7 @@ from ncqm import (
     time_reverse,
     time_reverse_conjugate,
 )
-from conftest import full_state, interior_state
+from conftest import full_state, interior_state, random_superop
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +59,10 @@ def test_heisenberg_commutators_on_interior_states(ctx, obs):
 def test_momenta_match_ladder_commutator_form(ctx, obs):
     # P1 + iP2 = -i hbar sqrt(2/theta) [b, .] and P1 - iP2 = i hbar sqrt(2/theta) [b^dag, .]
     p1m, p2m = obs.P1.matrix, obs.P2.matrix
-    eye = np.eye(ctx.cutoff, dtype=complex)
+    eye = np.eye(ctx.cutoff)
     pref = -1j * ctx.params.hbar * math.sqrt(2.0 / ctx.params.theta)
     for sign, ladder, c in ((1.0, ctx.b, pref), (-1.0, ctx.bdag, -pref)):
-        commutator = SuperOperator([(c * ladder, eye), (-c * eye, ladder)]).matrix
+        commutator = c * (np.kron(ladder, eye) - np.kron(eye, ladder.T))  # L psi R <-> kron(L, R^T)
         scale = np.max(np.abs(commutator))
         assert np.max(np.abs(p1m + sign * 1j * p2m - commutator)) < 1e-13 * scale
 
@@ -88,7 +88,7 @@ def test_observables_and_hamiltonians_are_hermitian_on_the_state_space(n):
     ops = (base + [-2.5 * s for s in base] + [time_reverse_conjugate(s) for s in base]
            + [hamiltonian(ctx, spec) for spec in specs])
     assert max(_hermitian_defect(s.matrix) for s in ops) <= 1e-12
-    left_b = SuperOperator([(ctx.b, np.eye(n, dtype=complex))])
+    left_b = SuperOperator(n, [((1, np.sqrt(np.arange(1, n))), None)])
     assert _hermitian_defect(left_b.matrix) > 1e-12
 
 
@@ -170,12 +170,7 @@ def test_conjugation_flips_momenta_exactly(ctx, obs, rng):
 
 def test_time_reverse_conjugate_defining_property(rng):
     n = 7
-    terms = [
-        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for _ in range(3)
-    ]
-    s = SuperOperator(terms)
+    s = random_superop(rng, n)
     conj = time_reverse_conjugate(s)
     for _ in range(3):
         psi = full_state(rng, n)

@@ -303,7 +303,7 @@ def test_ladders_are_two_terms_equal_to_the_six_term_composition(params):
     states = [QuantumState(rng.standard_normal((params.cutoff,) * 2)
                            + 1j * rng.standard_normal((params.cutoff,) * 2)) for _ in range(2)]
     for two, six in zip(ladder_ops(ctx), _six_term_ladders(ctx)):
-        assert len(two.terms) == 2 and len(six.terms) == 6
+        assert len(two.terms) == 2 and len(six.terms) == 12  # six dense terms; x and p have two bands each
         for psi in states:
             want = six.apply(psi).op
             assert np.max(np.abs(two.apply(psi).op - want)) < 1e-14 * np.max(np.abs(want))
