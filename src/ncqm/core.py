@@ -364,7 +364,7 @@ class SuperOperator:
 def _bands(mat: np.ndarray) -> list:
     """The nonzero bands of an N x N matrix as SuperOperator sides (k, np.diagonal(mat, k)), k ascending."""
     rows, cols = np.nonzero(mat)
-    # the offsets by bincount, not np.unique, whose first call in a process takes about 15 ms
+    # the offsets by bincount: a plain np.unique imports numpy.ma on its first call, about 15 ms
     offsets = np.flatnonzero(np.bincount(cols - rows + len(mat))) - len(mat)
     bands = [(k, np.diagonal(mat, k)) for k in offsets.tolist()]
     return [(k, w if w.imag.any() else w.real) for k, w in bands]

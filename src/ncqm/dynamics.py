@@ -38,7 +38,6 @@ from .core import (
     ValidationError,
     _bands,
     _frozen,
-    _readonly,
     _require_hermitian,
     _unit_offsets,
     support_weight,
@@ -94,15 +93,16 @@ class Hamiltonian(SuperOperator):
     """H = (P1^2 + P2^2)/2m + V as the module docstring's terms, from ctx and the N x N V.
 
     c r^2 + V and c r^2 give one term per band, on the left and on the right,
-    and the two hops one term each.  v_matrix also fixes the classes of
-    _class_blocks; _eig holds _eig_cached's decomposition.
+    and the two hops one term each.  The hops are each other's adjoints, so H
+    is Hermitian iff c r^2 + V and c r^2 are; a defect there raises
+    ConsistencyError here.  _eig holds _eig_cached's decomposition.
     """
 
-    __slots__ = ("ctx", "v_matrix", "_eig", "_lock")
+    __slots__ = ("ctx", "_eig", "_lock")
 
     def __init__(self, ctx: FockContext, v_matrix: np.ndarray):
         n = ctx.cutoff
-        v = _readonly(v_matrix)
+        v = np.asarray(v_matrix, dtype=complex)
         if v.shape != (n, n):
             raise UsageError(f"v_matrix must be {n} x {n}, got shape {v.shape}")
         p = ctx.params
@@ -112,18 +112,24 @@ class Hamiltonian(SuperOperator):
             raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
                                      "hbar^2/(2 m theta^2) is not a finite float")
         c_r_sq = c * ctx.r_sq
+        left = c_r_sq + v
+        _require_hermitian(np.stack([left, c_r_sq]), ConsistencyError, "Hamiltonian")
         hop = -2.0 * c * p.theta
         (k, root), = _bands(ctx.b)  # b^dag is the band (-k, root)
-        super().__init__(n, [(band, None) for band in _bands(c_r_sq + v)]
+        super().__init__(n, [(band, None) for band in _bands(left)]
                          + [(None, band) for band in _bands(c_r_sq)]
                          + [((k, hop * root), (-k, root)), ((-k, hop * root), (k, root))])
         self.ctx = ctx
-        self.v_matrix = v
         self._eig = None
         self._lock = threading.Lock()
 
 
 def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
+    """The N x N V of the spec; each table term on its one diagonal, with the bits of the dense powers.
+
+    v_mk (b^dag)^m b^k adds v_mk sqrt(j+m)...sqrt(j+1) sqrt(j+1)...sqrt(j+k) at (j + m, j + k), each running
+    product in the order the dense powers form it, and the terms add in row-major (m, k) order.
+    """
     n = ctx.cutoff
     if spec.kind == "free":
         return np.zeros((n, n), dtype=complex)
@@ -132,15 +138,15 @@ def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
         return 0.5 * p.mass * p.omega**2 * ctx.r_sq
     table = spec.potential_coeffs
     out = np.zeros((n, n), dtype=complex)
-    deg = table.shape[0]
-    bd_pow = np.eye(n, dtype=complex)
-    for m in range(deg):
-        b_pow = np.eye(n, dtype=complex)
-        for k in range(deg):
-            if table[m, k] != 0.0:
-                out += table[m, k] * (bd_pow @ b_pow)
-            b_pow = b_pow @ ctx.b
-        bd_pow = bd_pow @ ctx.bdag
+    deg = min(table.shape[0], n)  # (b^dag)^m and b^k vanish from m, k = N on
+    (_, root), = _bands(ctx.b)  # sqrt(j + 1) at j
+    up, down = [np.ones(n)], [np.ones(n)]  # up[k][j] = sqrt(j+1)...sqrt(j+k), down[m][j] = sqrt(j+m)...sqrt(j+1)
+    for i in range(1, deg):
+        up.append(up[-1][:-1] * root[i - 1:])
+        down.append(down[-1][1:] * root[:n - i])
+    for m, k in zip(*np.nonzero(table[:deg, :deg])):
+        j = np.arange(n - max(m, k))
+        out[j + m, j + k] += table[m, k] * (down[m][j] * up[k][j])
     return out
 
 
@@ -164,7 +170,7 @@ class SpectrumResult:
     eigenstates orthonormal under the Hilbert-Schmidt inner product.
     lz_expectations holds, per state, the expectation of the exact
     angular-momentum label, which multiplies the matrix unit |m><l| by
-    -hbar (m - l).  When v_matrix is diagonal every state lies in one sector
+    -hbar (m - l).  When V is diagonal every state lies in one sector
     k = m - l, so the entry is exactly -hbar k; otherwise the label is
     diagonalized inside each degenerate run.  The label is used rather than
     the truncated angular_momentum operator, whose cut top entry of r^2 shifts
@@ -191,28 +197,23 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 def _class_blocks(h: Hamiltonian) -> tuple:
     """H split into the classes of matrix units it never mixes, each block solved in place in one stack.
 
-    The kinetic terms keep k = m - l of the unit |m><l| and the potential term
-    (b^dag)^p b^q shifts k by p - q, so H keeps k modulo g, the gcd of |m - n|
-    over the nonzero off-diagonal v_matrix[m, n].  With g = 0 (free, oscillator,
-    diagonal tables) each sector k is a class labelled exactly -hbar k, and slot
-    c holds sectors c and c - N, each unit |m><l| at place l; else the g classes
-    k mod g have label None, one per slot, each unit at its rank in vec order
-    within its class, padded to the largest.  A term (L, R) takes |q><r| to
-    |p><s| with weight L[p, q] R[r, s], so only the products of its bands'
-    nonzeros are formed (real when both bands are), and np.add.at adds each
-    straight into the zeroed eigenvector stack at (slot, place of |p><s|, place
-    of |q><r|), with no N^2 x N^2 matrix.  np.linalg.eigh then solves each block
-    where it lies, in real arithmetic if its imaginary part is exactly zero.  The
-    hops are each other's adjoints, so H is Hermitian iff c r^2 + V and c r^2
-    are; a defect there, or a product joining two classes, raises
-    ConsistencyError before the scatter.
+    The kinetic terms keep k = m - l of the unit |m><l| and a one-sided band
+    term of offset d shifts k by -d, so H keeps k modulo g, the gcd of the
+    offsets of its one-sided terms, and no term joins two classes.  With g = 0
+    (free, oscillator, diagonal tables) each sector k is a class labelled
+    exactly -hbar k, and slot c holds sectors c and c - N, each unit |m><l| at
+    place l; else the g classes k mod g have label None, one per slot, each
+    unit at its rank in vec order within its class, padded to the largest.
+    A term (L, R) takes |q><r| to |p><s| with weight L[p, q] R[r, s], so only
+    the products of its bands' nonzeros are formed (real when both bands are),
+    and np.add.at adds each straight into the zeroed eigenvector stack at
+    (slot, place of |p><s|, place of |q><r|), with no N^2 x N^2 matrix.
+    np.linalg.eigh then solves each block where it lies, in real arithmetic if
+    its imaginary part is exactly zero.
     """
     n = h.cutoff
     k = _unit_offsets(n).reshape(-1)
-    g = math.gcd(*np.abs(k[h.v_matrix.reshape(-1) != 0]).tolist())
-    sides = ([left for left, right in h.terms if right is None], [right for left, right in h.terms if left is None])
-    _require_hermitian(np.stack([sum((np.diag(w, d) for d, w in side), np.zeros((n, n))) for side in sides]),
-                       ConsistencyError, "Hamiltonian")
+    g = math.gcd(*(abs((left or right)[0]) for left, right in h.terms if left is None or right is None))
     # each unit's class (sector k, or k mod g), its slot and its place in the slot
     cls = k if g == 0 else k % g
     slot, place = cls % (g or n), np.arange(n * n) % n
@@ -222,8 +223,6 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _, _), (_, s, _) in nz])
     cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q, _), (r, _, _) in nz])
     vals = np.concatenate([np.multiply.outer(x, y).ravel() for (_, _, x), (_, _, y) in nz])
-    if (cls[rows] != cls[cols]).any():
-        raise ConsistencyError("a Hamiltonian term joins matrix units of two classes")
     idx = np.full((g or n, place.max() + 1), n * n)
     idx[slot, place] = np.arange(n * n)
     w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
@@ -263,7 +262,7 @@ def spectrum_levels(h: Hamiltonian):
     """H's eigenpairs one level at a time, lowest first, as (eigenvalue, state, lz, boundary_weight).
 
     Read off the class blocks of _eig_cached, which evolve shares.  Free,
-    oscillator, and potential tables whose v_matrix is diagonal give 2N-1
+    oscillator, and potential tables whose V is diagonal give 2N-1
     sector blocks of size N - |k|; any other table gives g classes of about
     N^2/g units (g = 1 is one block over all N^2 units).
 
@@ -345,7 +344,7 @@ def _stack_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def evolve(psi0: QuantumState, h: Hamiltonian, t: float) -> QuantumState:
     """exp(-i H t / hbar) psi0: one gather, V^dag, phases, V and one scatter over the stack of _eig_cached.
 
-    No loop over classes and no N^2 x N^2 matrix: O(N^3) in all when v_matrix
+    No loop over classes and no N^2 x N^2 matrix: O(N^3) in all when V
     is diagonal (N slots of N units).  The stack is shared with spectrum_levels
     and never written, so repeated and concurrent calls are cheap and safe.
     Unitarity is exact up to roundoff for any real t.  Raises NumericalError

@@ -355,13 +355,12 @@ def probability_grid(ctx: FockContext, psi: QuantumState, grid: GridSpec) -> Pro
     worst = zs[np.argmax(radii)]
     msg = _warn_if_unsafe(ctx.cutoff, worst)
     if msg is not None:
-        # the largest radius fails the check and the tail grows with |z|, so
-        # bisect the distinct radii for the smallest one that fails
-        distinct = np.unique(radii)
-        first = bisect.bisect_left(distinct, True, hi=len(distinct) - 1,
+        # the largest radius fails the check and the tail grows with |z|, so bisect the
+        # sorted radii for the first that fails (a plain np.unique would import numpy.ma)
+        ordered = np.sort(radii)
+        first = bisect.bisect_left(ordered, True, hi=len(ordered) - 1,
                                    key=lambda r: _warn_if_unsafe(ctx.cutoff, r) is not None)
-        unsafe = int(np.sum(radii >= distinct[first]))
-        notes.append(f"{unsafe} of {len(zs)} grid points truncation-unsafe; worst: {msg}")
+        notes.append(f"{len(zs) - first} of {len(zs)} grid points truncation-unsafe; worst: {msg}")
 
     total = _densities(np.asarray(psi.op), zs)
     values = (total / (2.0 * math.pi * theta)).reshape(grid.points)

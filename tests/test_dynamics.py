@@ -153,8 +153,9 @@ def test_hamiltonian_matches_kron_oracle(ctx12, kind):
     assert len(h.terms) == (6 if kind.endswith("table") else 4)
     assert all(side is None or side[1].ndim == 1 for term in h.terms for side in term)
     v = oracle_potential(ctx12, kind)
-    assert np.max(np.abs(h.v_matrix - v)) < 1e-15
-    assert kind != "free" or not h.v_matrix.any()
+    got = dynamics._potential_matrix(ctx12, SPECS[kind])
+    assert np.max(np.abs(got - v)) < 1e-15
+    assert kind != "free" or not got.any()
     want = kron_oracle(ctx12, v)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(h.matrix - want)) < 1e-13 * scale
@@ -162,18 +163,52 @@ def test_hamiltonian_matches_kron_oracle(ctx12, kind):
 
 def test_potential_table_assembles_normal_ordered_sum(ctx12):
     theta = ctx12.params.theta
-    h = hamiltonian(ctx12, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(theta)))
+    v = dynamics._potential_matrix(ctx12, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(theta)))
     b = np.asarray(ctx12.b)
     bd = np.asarray(ctx12.bdag)
     want = 0.5 * theta * (b @ b + bd @ bd + 2.0 * bd @ b + np.eye(ctx12.cutoff))
-    assert np.max(np.abs(h.v_matrix - want)) < 1e-15
+    assert np.max(np.abs(v - want)) < 1e-15
 
     # equals the squared position operator except the truncation corner, where
     # b bdag = bdag b + 1 fails by N
     n = ctx12.cutoff
     x1sq = np.asarray(ctx12.x1 @ ctx12.x1)
-    assert np.max(np.abs((h.v_matrix - x1sq)[: n - 1, : n - 1])) < 1e-15
-    assert (x1sq - h.v_matrix)[n - 1, n - 1] == pytest.approx(-0.5 * theta * n, rel=1e-14)
+    assert np.max(np.abs((v - x1sq)[: n - 1, : n - 1])) < 1e-15
+    assert (x1sq - v)[n - 1, n - 1] == pytest.approx(-0.5 * theta * n, rel=1e-14)
+
+
+def dense_power_potential(ctx, table):
+    """sum_mk v_mk (b^dag)^m b^k from dense matrix powers: the assembly that the band products replaced."""
+    n = ctx.cutoff
+    out = np.zeros((n, n), dtype=complex)
+    deg = table.shape[0]
+    bd_pow = np.eye(n, dtype=complex)
+    for m in range(deg):
+        b_pow = np.eye(n, dtype=complex)
+        for k in range(deg):
+            if table[m, k] != 0.0:
+                out += table[m, k] * (bd_pow @ b_pow)
+            b_pow = b_pow @ ctx.b
+        bd_pow = bd_pow @ ctx.bdag
+    return out
+
+
+def random_hermitian_table(size):
+    a = np.random.default_rng(size).standard_normal((size, 2 * size)).view(complex)
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.37])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 12, 28, 31, 32, 60, 160])
+def test_potential_matrix_equals_the_dense_powers_bit_for_bit(theta, cutoff):
+    # each term on its one diagonal, its running products in the dense powers' order; terms
+    # past the block (m or k >= N, the 5 x 5 table at N = 2 and 3) vanish as the powers do
+    ctx = build_fock(ModelParams(theta=theta, cutoff=cutoff))
+    for table in (x1_squared_table(theta), linear_x1_table(0.5), complex_table(), near_free_table(),
+                  diagonal_table(), random_hermitian_table(5)):
+        spec = HamiltonianSpec("potential", potential_coeffs=table)
+        got, want = dynamics._potential_matrix(ctx, spec), dense_power_potential(ctx, spec.potential_coeffs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _apply_states(rng, n):
@@ -476,32 +511,22 @@ def test_one_column_runs_read_the_label_without_an_eigh(ctx12, monkeypatch):
     np.pad([[0.0, 0.3j], [0.0, 0.0]], (0, 10)),  # v_01 = 0.3i with no v_10: g = 1, one complex block
 ], ids=["sector", "class", "one-class"])
 def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
-    h = Hamiltonian(ctx12, v)
+    # at construction, before any solve or evolve could read it
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
-        solve_spectrum(h, 1)
-    with pytest.raises(ConsistencyError, match="Hermiticity defect"):
-        evolve(QuantumState(np.eye(12)), h, 1.0)
+        Hamiltonian(ctx12, v)
 
 
-def test_a_term_joining_two_classes_is_refused(ctx12):
-    # the hopping potential b + b^dag mixes neighbouring sectors, but v_matrix names the
-    # free particle's classes, one per sector
-    h = Hamiltonian(ctx12, np.eye(12, k=1) + np.eye(12, k=-1))
-    h.v_matrix = np.zeros((12, 12))
-    with pytest.raises(ConsistencyError, match="two classes"):
-        solve_spectrum(h, 1)
-
-
-def gathered_class_blocks(h):
+def gathered_class_blocks(h, v_matrix):
     """The class decomposition with each block gathered from all unit pairs of the dense terms.
 
     The assembly that the scatter over the bands' nonzeros replaced, kept as its
     oracle: (blocks as passed to eigh, (idx, w, v, per-class views)).  Every
     product is complex if any side is, as when the terms were dense complex matrices.
+    g is the gcd of |m - n| over the nonzero entries of H's potential v_matrix.
     """
     n = h.cutoff
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
-    g = math.gcd(*np.abs(offsets[h.v_matrix != 0]).tolist())
+    g = math.gcd(*np.abs(offsets[v_matrix != 0]).tolist())
     m, l = np.divmod(np.arange(n * n), n)
     terms = dense_sides(h)
     if any(left.imag.any() or right.imag.any() for left, right in terms):
@@ -548,7 +573,7 @@ def _bits(a):
         "oscillator-31", "x1-squared-table-28", "complex-linear-table", "complex-table-28"])
 def test_scattered_blocks_equal_the_gather_bit_for_bit(spec, cutoff, monkeypatch):
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=cutoff)), spec)
-    mats, want = gathered_class_blocks(h)
+    mats, want = gathered_class_blocks(h, dynamics._potential_matrix(h.ctx, spec))
     got_mats = []
     eigh = np.linalg.eigh
 
@@ -563,6 +588,31 @@ def test_scattered_blocks_equal_the_gather_bit_for_bit(spec, cutoff, monkeypatch
     for (i, label, w, v), (want_i, want_label, want_w, want_v) in zip(got[3], want[3], strict=True):
         assert label == want_label and repr(label) == repr(want_label)
         assert [_bits(a) for a in (i, w, v)] == [_bits(a) for a in (want_i, want_w, want_v)]
+
+
+@pytest.mark.parametrize("theta,hbar", [(0.1, 1.0), (0.37, 0.7)])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 32])
+@pytest.mark.parametrize("spec", [FREE, OSC], ids=["free", "oscillator"])
+def test_sector_blocks_are_the_band_tridiagonals(spec, cutoff, theta, hbar, monkeypatch):
+    # for g = 0 the block of sector k, over the places l with m = l + k, is read off the terms:
+    # diagonal left[m] + right[l], off-diagonal (hop root)[m] root[l]
+    h = hamiltonian(build_fock(ModelParams(theta=theta, hbar=hbar, cutoff=cutoff)), spec)
+    ((_, left), _), (_, (_, right)), ((_, hop_root), (_, root)), _ = h.terms
+    want = []
+    for k in range(1 - cutoff, cutoff):
+        l = np.arange(max(-k, 0), cutoff - max(k, 0))
+        off = hop_root[l[:-1] + k] * root[l[:-1]]
+        want.append(np.diag(left[l + k] + right[l]) + np.diag(off, 1) + np.diag(off, -1))
+    got = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        got.append(np.array(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    dynamics._eig_cached(h)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
 
 @pytest.mark.parametrize("theta", [1e-155, 1e-170])
@@ -664,6 +714,41 @@ def test_sector_stack_holds_n_cubed_real_entries(kind):
     assert np.array_equal(np.sort(idx, axis=None), np.arange(n * n))
     assert len(blocks) == 2 * n - 1
     assert all(np.shares_memory(bv, v) and np.shares_memory(bw, w) for _, _, bw, bv in blocks)
+
+
+def free_packet(params, k, t):
+    """The free flow of |k><0| in infinite dimensions, truncated to the cutoff, and its weight beyond it.
+
+    psi_k(t) = C^{k+1} sum_m lambda^m sqrt(binom(m + k, k)) |m + k><m|, with
+    tau = 2 hbar t / (m theta), lambda = i tau / (2 + i tau) and C = 2 / (2 + i tau).
+    |C|^2 = 1 - |lambda|^2, so the weights form a negative binomial distribution
+    of norm 1; the weight beyond the cutoff is its tail, |lambda|^{2N} for k = 0.
+    """
+    n = params.cutoff
+    tau = 2.0 * params.hbar * t / (params.mass * params.theta)
+    lam, c = 1j * tau / (2.0 + 1j * tau), 2.0 / (2.0 + 1j * tau)
+    m = np.arange(n - k)
+    op = np.zeros((n, n), dtype=complex)
+    op[m + k, m] = c ** (k + 1) * lam**m * np.sqrt([math.comb(j + k, k) for j in m])
+    x = abs(lam) ** 2
+    tail = sum((1.0 - x) ** (k + 1) * math.comb(j + k, k) * x**j for j in range(n - k, 20 * n))
+    return op, tail
+
+
+@pytest.mark.parametrize("theta,hbar,mass", [(1.0, 1.0, 1.0), (0.3, 0.7, 1.9)])
+def test_free_evolve_matches_the_closed_packet(theta, hbar, mass):
+    # |k><0| flows to free_packet, and |0><k| to its transpose (psi -> psi^dag reverses the
+    # flow, which conjugates the packet); only where the packet's weight beyond N is negligible
+    params = ModelParams(theta=theta, hbar=hbar, mass=mass, cutoff=160)
+    h = hamiltonian(build_fock(params), FREE)
+    for k in range(4):
+        ket = np.zeros((160, 160))
+        ket[k, 0] = 1.0
+        for t in (0.1, 0.5, 1.0):
+            want, tail = free_packet(params, k, t)
+            assert tail < 1e-25
+            assert np.max(np.abs(evolve(QuantumState(ket), h, t).op - want)) < 1e-13
+            assert np.max(np.abs(evolve(QuantumState(ket.T), h, t).op - want.T)) < 1e-13
 
 
 def test_evolve_is_unitary_and_additive(ctx12):

@@ -1,8 +1,13 @@
 """Position measurement layer: symbols, density series, POVM elements, grids."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -397,6 +402,25 @@ def test_grid_bisected_count_matches_every_distinct_radius():
     assert unsafe_radii == list(distinct[len(distinct) - len(unsafe_radii):])  # the tail grows with |z|
     res = probability_grid(ctx, ground_state(ctx), grid)
     assert res.warnings[0].startswith(f"{unsafe} of {201 * 201} grid points truncation-unsafe")
+
+
+def test_an_unsafe_grid_does_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma on its first call in a process, about 15 ms of a CLI command
+    code = textwrap.dedent("""
+        import sys
+        from ncqm import GridSpec, ModelParams, build_fock, ground_state, probability_grid
+
+        ctx = build_fock(ModelParams(theta=0.1, cutoff=30))
+        before = "numpy.ma" in sys.modules
+        res = probability_grid(ctx, ground_state(ctx), GridSpec((-2.0, 2.5), (-1.5, 2.0), (31, 29)))
+        assert "truncation-unsafe" in res.warnings[0]
+        print(before, "numpy.ma" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
 
 
 # ---------------------------------------------------------------- radial route
