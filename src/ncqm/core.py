@@ -118,11 +118,11 @@ class ModelParams:
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
 
-def _require_hermitian(mat: np.ndarray, error: type, what: str) -> None:
-    """Raise error unless each matrix of mat is its conjugate transpose within 1e-12 of max(1, max |mat|)."""
+def _require_hermitian(a: np.ndarray, a_dag: np.ndarray, error: type, what: str) -> None:
+    """Raise error unless a equals a_dag, its adjoint entry for entry, within 1e-12 of max(1, max |a|)."""
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect, refused below
-        defect = np.max(np.abs(mat - mat.conj().mT))
-    scale = max(1.0, np.max(np.abs(mat)))
+        defect = np.max(np.abs(a - a_dag))
+    scale = max(1.0, np.max(np.abs(a)))
     if not defect <= 1e-12 * scale:  # a NaN or inf defect fails too
         raise error(f"{what} is not Hermitian: Hermiticity defect {defect:.3e} (scale {scale:.3e})")
 
@@ -158,13 +158,14 @@ def _readonly(a: np.ndarray, dtype: type = complex) -> np.ndarray:
 class FockContext:
     """Truncated configuration-space operators shared by every module.
 
-    b is the annihilator, b[n-1, n] = sqrt(n); bdag its conjugate transpose;
-    x1 = sqrt(theta/2)(b + bdag) and x2 = i sqrt(theta/2)(bdag - b) the
-    non-commuting coordinates, and r_sq = x1^2 + x2^2 the truncated
-    radius square that the Hamiltonian, the oscillator potential and Lz share.
-    Each is a read-only N x N array built on its first read and cached: states,
-    densities and the POVM need only N and theta, so a context that only
-    measures never allocates them.
+    root is sqrt(l + 1) at l, the band from which every superoperator's Fock
+    bands are written.  b is the annihilator, b[l, l+1] = root[l]; bdag its
+    conjugate transpose; x1 = sqrt(theta/2)(b + bdag) and
+    x2 = i sqrt(theta/2)(bdag - b) the non-commuting coordinates; and
+    r_sq = x1^2 + x2^2 the truncated radius square, whose diagonal the
+    Hamiltonian, the oscillator potential and Lz share.  Each is read-only,
+    built on its first read and cached: a context that only measures needs
+    N and theta alone and never allocates them.
     """
 
     params: ModelParams
@@ -174,12 +175,12 @@ class FockContext:
         return self.params.cutoff
 
     @cached_property
+    def root(self) -> np.ndarray:
+        return _frozen(np.sqrt(np.arange(1.0, self.cutoff)))
+
+    @cached_property
     def b(self) -> np.ndarray:
-        n = self.cutoff
-        b = np.zeros((n, n), dtype=complex)
-        levels = np.arange(1, n)
-        b[levels - 1, levels] = np.sqrt(levels)
-        return _frozen(b)
+        return _frozen(np.diag(self.root + 0j, 1))
 
     @cached_property
     def bdag(self) -> np.ndarray:
@@ -280,7 +281,7 @@ class SuperOperator:
     elementwise product in O(N^2).  `matrix` builds sum_t kron(L_t, R_t^T) under
     the vec convention above on every read, as a plain oracle for tests; no
     library path reads it, and it stays because the benchmark's tracer wraps it.
-    Operators compose with @, add with +, and scale with *.
+    Operators compose with @ (band by band), add with +, and scale with *.
     """
 
     __slots__ = ("cutoff", "terms")
@@ -319,8 +320,9 @@ class SuperOperator:
     def matrix(self) -> np.ndarray:
         n = self.cutoff
         mat = np.zeros((n * n, n * n), dtype=complex)
-        for left, right in self.terms:
-            mat += np.kron(_dense(left, n), _dense(right, n).T)
+        for term in self.terms:
+            left, right = (np.eye(n) if side is None else np.diag(side[1], side[0]) for side in term)
+            mat += np.kron(left, right.T)
         return mat
 
     def dagger(self) -> "SuperOperator":
@@ -361,32 +363,30 @@ class SuperOperator:
         return f"SuperOperator(cutoff={self.cutoff}, terms={len(self.terms)})"
 
 
-def _bands(mat: np.ndarray) -> list:
-    """The nonzero bands of an N x N matrix as SuperOperator sides (k, np.diagonal(mat, k)), k ascending."""
-    rows, cols = np.nonzero(mat)
-    # the offsets by bincount: a plain np.unique imports numpy.ma on its first call, about 15 ms
-    offsets = np.flatnonzero(np.bincount(cols - rows + len(mat))) - len(mat)
-    bands = [(k, np.diagonal(mat, k)) for k in offsets.tolist()]
-    return [(k, w if w.imag.any() else w.real) for k, w in bands]
-
-
 @lru_cache(maxsize=256)
 def _span(k: int, n: int) -> tuple[slice, slice]:
     """The rows and the columns of an N x N matrix that band k occupies."""
     return slice(max(-k, 0), n - max(k, 0)), slice(max(k, 0), n - max(-k, 0))
 
 
-def _dense(side, n: int) -> np.ndarray:
-    """The N x N matrix of a band side; None is the identity."""
-    return np.eye(n) if side is None else np.diag(side[1], side[0])
-
-
 def _product(a, b, n: int):
-    """The band side a b, read off the product of the dense sides, or False past the N x N block."""
+    """The band side a b, or False past the N x N block: (a b)[r, r + k] = a[r, r + ka] b[r + ka, r + k].
+
+    Both factors lie in the block on the rows lo .. hi.  Two complex bands may round unlike a BLAS product.
+    """
     if a is None or b is None:
         return b if a is None else a
-    k = a[0] + b[0]
-    return (k, np.diagonal(_dense(a, n) @ _dense(b, n), k)) if abs(k) < n else False
+    (ka, wa), (kb, wb), k = a, b, a[0] + b[0]
+    if abs(k) >= n:
+        return False
+    lo, hi = max(0, -ka, -k), min(n, n - ka, n - k)
+
+    def rows(d, shift=0):  # the weights of band d on rows lo + shift .. hi + shift: row less first row
+        return slice(lo + shift - max(-d, 0), hi + shift - max(-d, 0))
+
+    w = np.zeros(n - abs(k), dtype=np.result_type(wa, wb))
+    w[rows(k)] += wa[rows(ka)] * wb[rows(kb, ka)]  # added to +0, so a -0 product reads +0
+    return k, w
 
 
 def support_weight(psi: QuantumState, m: int) -> float:

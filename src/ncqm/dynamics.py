@@ -36,7 +36,6 @@ from .core import (
     TruncationError,
     UsageError,
     ValidationError,
-    _bands,
     _frozen,
     _require_hermitian,
     _unit_offsets,
@@ -83,71 +82,72 @@ class HamiltonianSpec:
             table = np.asarray(self.potential_coeffs, dtype=complex)
             if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
                 raise ValidationError(f"potential_coeffs must be a nonempty square table, got {table.shape}")
-            _require_hermitian(table, ValidationError, "potential table (v_mn = conj(v_nm))")
+            _require_hermitian(table, table.conj().T, ValidationError, "potential table (v_mn = conj(v_nm))")
             object.__setattr__(self, "potential_coeffs", table)
         elif self.potential_coeffs is not None:
             raise ValidationError(f"kind={self.kind!r} takes no potential table")
 
 
 class Hamiltonian(SuperOperator):
-    """H = (P1^2 + P2^2)/2m + V as the module docstring's terms, from ctx and the N x N V.
+    """H = (P1^2 + P2^2)/2m + V as the module docstring's terms, from ctx and the bands (k, w) of V.
 
-    c r^2 + V and c r^2 give one term per band, on the left and on the right,
-    and the two hops one term each.  The hops are each other's adjoints, so H
-    is Hermitian iff c r^2 + V and c r^2 are; a defect there raises
-    ConsistencyError here.  _eig holds _eig_cached's decomposition.
+    c r^2 + V gives a left term per nonzero band, the diagonal c r^2 a right
+    term, and each hop a term.  The hops are each other's adjoints, so H is
+    Hermitian iff each band k of c r^2 + V is the conjugate of band -k; a
+    defect raises ConsistencyError.  _eig holds _eig_cached's decomposition.
     """
 
     __slots__ = ("ctx", "_eig", "_lock")
 
-    def __init__(self, ctx: FockContext, v_matrix: np.ndarray):
-        n = ctx.cutoff
-        v = np.asarray(v_matrix, dtype=complex)
-        if v.shape != (n, n):
-            raise UsageError(f"v_matrix must be {n} x {n}, got shape {v.shape}")
+    def __init__(self, ctx: FockContext, v_bands):
+        n = self.cutoff = ctx.cutoff
         p = ctx.params
         den = 2.0 * p.mass * p.theta**2
         c = p.hbar**2 / den if den else math.inf
         if not math.isfinite(c):
             raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
                                      "hbar^2/(2 m theta^2) is not a finite float")
-        c_r_sq = c * ctx.r_sq
-        left = c_r_sq + v
-        _require_hermitian(np.stack([left, c_r_sq]), ConsistencyError, "Hamiltonian")
-        hop = -2.0 * c * p.theta
-        (k, root), = _bands(ctx.b)  # b^dag is the band (-k, root)
-        super().__init__(n, [(band, None) for band in _bands(left)]
-                         + [(None, band) for band in _bands(c_r_sq)]
-                         + [((k, hop * root), (-k, root)), ((-k, hop * root), (k, root))])
+        c_r_sq = c * np.diagonal(ctx.r_sq).real
+        left = {0: c_r_sq}
+        for k, w in map(self._side, v_bands):  # _side checks each band against self.cutoff, set above
+            left[k] = left[k] + w if k in left else w
+        bands = [(k, w) for k, w in sorted(left.items()) if w.any()]
+        _require_hermitian(np.concatenate([w for _, w in bands] + [c_r_sq]),
+                           np.concatenate([left.get(-k, 0.0 * w).conj() for k, w in bands] + [c_r_sq]),
+                           ConsistencyError, "Hamiltonian")
+        hop, root = -2.0 * c * p.theta, ctx.root  # b is the band (1, root), b^dag the band (-1, root)
+        super().__init__(n, [(band, None) for band in bands] + [(None, (0, c_r_sq))]
+                         + [((1, hop * root), (-1, root)), ((-1, hop * root), (1, root))])
         self.ctx = ctx
         self._eig = None
         self._lock = threading.Lock()
 
 
-def _potential_matrix(ctx: FockContext, spec: HamiltonianSpec) -> np.ndarray:
-    """The N x N V of the spec; each table term on its one diagonal, with the bits of the dense powers.
+def _potential_bands(ctx: FockContext, spec: HamiltonianSpec) -> list:
+    """The nonzero bands (k, w) of the spec's V, k ascending, with the bits of the dense powers.
 
-    v_mk (b^dag)^m b^k adds v_mk sqrt(j+m)...sqrt(j+1) sqrt(j+1)...sqrt(j+k) at (j + m, j + k), each running
-    product in the order the dense powers form it, and the terms add in row-major (m, k) order.
+    v_mk (b^dag)^m b^k adds v_mk sqrt(j+m)...sqrt(j+1) sqrt(j+1)...sqrt(j+k) at (j + m, j + k), which is
+    index j + min(m, k) of band k - m; each running product is formed in the order the dense powers form
+    it, and the terms add in row-major (m, k) order.
     """
     n = ctx.cutoff
     if spec.kind == "free":
-        return np.zeros((n, n), dtype=complex)
+        return []
     if spec.kind == "oscillator":
         p = ctx.params
-        return 0.5 * p.mass * p.omega**2 * ctx.r_sq
+        return [(0, 0.5 * p.mass * p.omega**2 * np.diagonal(ctx.r_sq).real)]
     table = spec.potential_coeffs
-    out = np.zeros((n, n), dtype=complex)
+    bands = {}
     deg = min(table.shape[0], n)  # (b^dag)^m and b^k vanish from m, k = N on
-    (_, root), = _bands(ctx.b)  # sqrt(j + 1) at j
     up, down = [np.ones(n)], [np.ones(n)]  # up[k][j] = sqrt(j+1)...sqrt(j+k), down[m][j] = sqrt(j+m)...sqrt(j+1)
     for i in range(1, deg):
-        up.append(up[-1][:-1] * root[i - 1:])
-        down.append(down[-1][1:] * root[:n - i])
+        up.append(up[-1][:-1] * ctx.root[i - 1:])
+        down.append(down[-1][1:] * ctx.root[:n - i])
     for m, k in zip(*np.nonzero(table[:deg, :deg])):
-        j = np.arange(n - max(m, k))
-        out[j + m, j + k] += table[m, k] * (down[m][j] * up[k][j])
-    return out
+        size = n - max(m, k)
+        band = bands.setdefault(k - m, np.zeros(n - abs(k - m), dtype=complex))
+        band[min(m, k):] += table[m, k] * (down[m][:size] * up[k][:size])
+    return [(k, w) for k, w in sorted(bands.items()) if w.any()]
 
 
 def hamiltonian(ctx: FockContext, spec: HamiltonianSpec) -> Hamiltonian:
@@ -158,7 +158,7 @@ def hamiltonian(ctx: FockContext, spec: HamiltonianSpec) -> Hamiltonian:
     """
     if spec.kind == "oscillator" and ctx.params.omega <= 0.0:
         raise DegenerateOscillatorError("the oscillator needs omega > 0; omega = 0 is the free particle")
-    return Hamiltonian(ctx, _potential_matrix(ctx, spec))
+    return Hamiltonian(ctx, _potential_bands(ctx, spec))
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,10 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     unit at its rank in vec order within its class, padded to the largest.
     A term (L, R) takes |q><r| to |p><s| with weight L[p, q] R[r, s], so only
     the products of its bands' nonzeros are formed (real when both bands are),
-    and np.add.at adds each straight into the zeroed eigenvector stack at
-    (slot, place of |p><s|, place of |q><r|), with no N^2 x N^2 matrix.
-    np.linalg.eigh then solves each block where it lies, in real arithmetic if
-    its imaginary part is exactly zero.
+    and one += per term adds them, each to its own target, into the zeroed
+    eigenvector stack at (slot, place of |p><s|, place of |q><r|), with no
+    N^2 x N^2 matrix.  np.linalg.eigh then solves each block where it lies, in
+    real arithmetic if its imaginary part is exactly zero.
     """
     n = h.cutoff
     k = _unit_offsets(n).reshape(-1)
@@ -219,14 +219,14 @@ def _class_blocks(h: Hamiltonian) -> tuple:
     slot, place = cls % (g or n), np.arange(n * n) % n
     for c in range(g):
         place[cls == c] = np.arange(np.count_nonzero(cls == c))
-    nz = [(_nonzeros(left, n), _nonzeros(right, n)) for left, right in h.terms]
-    rows = np.concatenate([np.add.outer(p * n, s).ravel() for (p, _, _), (_, s, _) in nz])
-    cols = np.concatenate([np.add.outer(q * n, r).ravel() for (_, q, _), (r, _, _) in nz])
-    vals = np.concatenate([np.multiply.outer(x, y).ravel() for (_, _, x), (_, _, y) in nz])
     idx = np.full((g or n, place.max() + 1), n * n)
     idx[slot, place] = np.arange(n * n)
-    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
-    np.add.at(v, (slot[rows], place[rows], place[cols]), vals)
+    dtype = np.result_type(*(side[1] for term in h.terms for side in term if side is not None))
+    w, v = np.zeros(idx.shape), np.zeros(idx.shape + idx.shape[-1:], dtype=dtype)
+    for left, right in h.terms:
+        (p, q, x), (r, s, y) = _nonzeros(left, n), _nonzeros(right, n)
+        rows, cols = np.add.outer(p * n, s), np.add.outer(q * n, r)
+        v[slot[rows], place[rows], place[cols]] += np.multiply.outer(x, y)
     blocks = []
     for c in range(1 - n, n) if g == 0 else range(g):
         # sector c sits in slot c mod N at its units' l; class c fills slot c from 0, padded at N^2
@@ -438,7 +438,7 @@ def interior_residual(s: SuperOperator, psi: QuantumState, eigenvalue: complex, 
 
 def _x_commutators(h: Hamiltonian, a: np.ndarray) -> tuple:
     """[x1, a] and [x2, a] for each matrix of a, by shifts; x1 = s (b + b^dag), x2 = i s (b^dag - b)."""
-    ((_, r),), s = _bands(h.ctx.b), math.sqrt(h.ctx.params.theta / 2.0)  # r = sqrt(l + 1)
+    r, s = h.ctx.root, math.sqrt(h.ctx.params.theta / 2.0)  # r = sqrt(l + 1)
     ba, bda = np.zeros_like(a), np.zeros_like(a)  # [b, a] and [b^dag, a]
     ba[..., :-1, :], bda[..., 1:, :] = r[:, None] * a[..., 1:, :], r[:, None] * a[..., :-1, :]  # b a, b^dag a
     ba[..., 1:] -= a[..., :-1] * r  # a b: column l reads a[:, l-1] sqrt(l)

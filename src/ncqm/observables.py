@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FockContext, QuantumState, SuperOperator, _bands, _unit_offsets
+from .core import FockContext, QuantumState, SuperOperator, _unit_offsets
 
 __all__ = [
     "position_ops",
@@ -25,24 +25,24 @@ __all__ = [
 ]
 
 
-def _left_mult(op: np.ndarray) -> SuperOperator:
-    """psi -> op psi, one term per band of op."""
-    return SuperOperator(op.shape[0], [(band, None) for band in _bands(op)])
+def _x_bands(ctx: FockContext) -> tuple[list, list]:
+    """The bands [(-1, w), (1, w)] of x1 and x2 from root, in the bits np.diagonal reads off ctx.x1 and ctx.x2."""
+    s, root = np.sqrt(ctx.params.theta / 2.0), ctx.root  # x2's +1 band is i s (bdag - b): -sqrt(l) - 0j times i s
+    return [(-1, s * root), (1, s * root)], [(-1, 1j * s * root), (1, 1j * s * (0j - root).conj())]
 
 
-def _commutator_action(op: np.ndarray) -> SuperOperator:
-    """psi -> [op, psi]: each band of op on the left, and negated on the right."""
-    bands = _bands(op)
-    return SuperOperator(op.shape[0], [(band, None) for band in bands] + [(None, (k, -w)) for k, w in bands])
+def _commutator_action(n: int, bands: list) -> SuperOperator:
+    """psi -> [op, psi] from the bands of op: each on the left, and negated on the right."""
+    return SuperOperator(n, [(band, None) for band in bands] + [(None, (k, -w)) for k, w in bands])
 
 
 def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
-    return _left_mult(ctx.x1), _left_mult(ctx.x2)
+    return tuple(SuperOperator(ctx.cutoff, [(band, None) for band in x]) for x in _x_bands(ctx))
 
 
 def momentum_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
-    c = ctx.params.hbar / ctx.params.theta
-    return c * _commutator_action(ctx.x2), -c * _commutator_action(ctx.x1)
+    c, (x1, x2) = ctx.params.hbar / ctx.params.theta, _x_bands(ctx)
+    return c * _commutator_action(ctx.cutoff, x2), -c * _commutator_action(ctx.cutoff, x1)
 
 
 def angular_momentum(ctx: FockContext) -> SuperOperator:
@@ -54,7 +54,7 @@ def angular_momentum(ctx: FockContext) -> SuperOperator:
     two constructions agree identically; see the tests).
     """
     c = -ctx.params.hbar / (2.0 * ctx.params.theta)
-    return c * _commutator_action(ctx.r_sq)
+    return c * _commutator_action(ctx.cutoff, [(0, np.diagonal(ctx.r_sq).real)])
 
 
 def rotate(psi: QuantumState, phi: float) -> QuantumState:

@@ -32,7 +32,6 @@ from .core import (
     SuperOperator,
     TruncationError,
     UsageError,
-    _bands,
 )
 
 __all__ = [
@@ -237,9 +236,9 @@ def ladder_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator, SuperOpe
     psi_0 = e^{alpha b^dag b}, and [A_i, A_j^dag] = delta_ij on supported states.
     """
     a1, c1, a2, c2 = _ladder_coeffs(ctx.params)
-    n, ((k, w),) = ctx.cutoff, _bands(ctx.b)  # b^dag is the band (-k, w)
+    n, w = ctx.cutoff, ctx.root  # b is the band (1, w), b^dag the band (-1, w)
     return tuple(a * SuperOperator(n, [(band, None)]) + c * SuperOperator(n, [(None, band)])
-                 for a, c, band in ((a1, c1, (k, w)), (a1, c1, (-k, w)), (a2, c2, (-k, w)), (a2, c2, (k, w))))
+                 for a, c, band in ((a1, c1, (1, w)), (a1, c1, (-1, w)), (a2, c2, (-1, w)), (a2, c2, (1, w))))
 
 
 def ground_tail_weight(params: ModelParams) -> float:

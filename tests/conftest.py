@@ -43,6 +43,21 @@ def random_superop(rng: np.random.Generator, cutoff: int, nterms: int = 4) -> Su
     return SuperOperator(cutoff, terms + [(random_band(rng, cutoff), None), (None, random_band(rng, cutoff))])
 
 
+def bands(mat: np.ndarray) -> list:
+    """The nonzero bands of an N x N matrix as SuperOperator sides (k, np.diagonal(mat, k)), k ascending.
+
+    The oracle for the package's closed-form Fock bands: what np.diagonal reads off the dense matrices.
+    """
+    rows, cols = np.nonzero(mat)
+    found = [(k, np.diagonal(mat, k)) for k in np.unique(cols - rows).tolist()]
+    return [(k, w if w.imag.any() else w.real) for k, w in found]
+
+
+def band_matrix(n: int, sides) -> np.ndarray:
+    """The N x N complex matrix with each band's weights where np.diagonal reads them: the inverse of bands."""
+    return sum((np.diag(w, k) for k, w in sides), np.zeros((n, n), dtype=complex))
+
+
 def dense_sides(s: SuperOperator) -> list:
     """Each term of s as its dense N x N pair (L, R); an identity side is np.eye."""
     n = s.cutoff

@@ -22,7 +22,8 @@ from ncqm import (
     unvec,
     vec,
 )
-from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state, random_superop
+from ncqm import core
+from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state, random_band, random_superop
 
 
 # ---------------------------------------------------------------- parameters
@@ -121,13 +122,13 @@ def test_operators_built_on_first_read_match_the_eager_construction():
     bdag = b.conj().T
     scale = np.sqrt(theta / 2.0)
     x1, x2 = scale * (b + bdag), 1j * scale * (bdag - b)
-    want = {"x2": x2, "b": b, "x1": x1, "bdag": bdag, "r_sq": x1 @ x1 + x2 @ x2}
-    for name, ref in want.items():  # x2 first: it builds b and bdag on the way
+    want = {"x2": x2, "b": b, "x1": x1, "bdag": bdag, "r_sq": x1 @ x1 + x2 @ x2, "root": np.sqrt(levels)}
+    for name, ref in want.items():  # x2 first: it builds root, b and bdag on the way
         got = getattr(ctx, name)
         assert got is getattr(ctx, name)
         assert got.flags.c_contiguous and not got.flags.writeable
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-    assert set(ctx.__dict__) == {"params", "b", "bdag", "x1", "x2", "r_sq"}
+    assert set(ctx.__dict__) == {"params", "root", "b", "bdag", "x1", "x2", "r_sq"}
 
 
 def test_context_arrays_are_readonly(ctx01):
@@ -271,6 +272,26 @@ def test_band_algebra_matches_the_dense_sides(rng, cutoff):
     flipped = [(right.conj().T, left.conj().T) for left, right in dense_sides(s1)]
     for got, want in zip(dense_sides(time_reverse_conjugate(s1)), flipped, strict=True):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 8])
+def test_band_products_equal_the_dense_products(cutoff):
+    # one shifted product per entry: equal in value to the dense product's band where a side is real,
+    # within a rounding where both are complex; past the block the dense product is zero
+    rng = np.random.default_rng(cutoff)
+    for real_a, real_b in ((True, True), (True, False), (False, True), (False, False)):
+        for _ in range(30):
+            a, b = random_band(rng, cutoff, real_a), random_band(rng, cutoff, real_b)
+            dense = np.diag(a[1], a[0]) @ np.diag(b[1], b[0])
+            got = core._product(a, b, cutoff)
+            if got is False:
+                assert abs(a[0] + b[0]) >= cutoff and not dense.any()
+                continue
+            if real_a or real_b:  # the dense product is this one band, entry for entry
+                assert np.array_equal(np.diag(got[1], got[0]), dense)
+            else:
+                want = np.diagonal(dense, got[0])
+                assert np.max(np.abs(got[1] - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
 
 
 def test_a_product_of_bands_past_the_block_is_zero():

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ncqm import (
     angular_momentum,
     boundary_defect_depth,
     build_fock,
+    coherent_state_op,
     continuity_residual,
     energy,
     evolve,
@@ -34,6 +36,7 @@ from ncqm import (
     hs_inner,
     interior_residual,
     ladder_ops,
+    lambdas,
     momentum_ops,
     plane_wave,
     position_ops,
@@ -42,7 +45,8 @@ from ncqm import (
     vec,
 )
 from ncqm import dynamics
-from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state
+from ncqm.oscillator import _ladder_coeffs
+from conftest import apply_scale, band_matrix, bands, dense_apply, dense_sides, full_state, interior_state
 
 FREE = HamiltonianSpec("free")
 OSC = HamiltonianSpec("oscillator")
@@ -126,7 +130,7 @@ def kron_oracle(ctx, v):
 
 
 def oracle_potential(ctx, kind):
-    # each kind's V from the position and ladder matrices, independently of _potential_matrix
+    # each kind's V from the position and ladder matrices, independently of _potential_bands
     p = ctx.params
     x1, x2, b, bd = (np.asarray(a) for a in (ctx.x1, ctx.x2, ctx.b, ctx.bdag))
     return {
@@ -153,7 +157,7 @@ def test_hamiltonian_matches_kron_oracle(ctx12, kind):
     assert len(h.terms) == (6 if kind.endswith("table") else 4)
     assert all(side is None or side[1].ndim == 1 for term in h.terms for side in term)
     v = oracle_potential(ctx12, kind)
-    got = dynamics._potential_matrix(ctx12, SPECS[kind])
+    got = band_matrix(12, dynamics._potential_bands(ctx12, SPECS[kind]))
     assert np.max(np.abs(got - v)) < 1e-15
     assert kind != "free" or not got.any()
     want = kron_oracle(ctx12, v)
@@ -163,7 +167,8 @@ def test_hamiltonian_matches_kron_oracle(ctx12, kind):
 
 def test_potential_table_assembles_normal_ordered_sum(ctx12):
     theta = ctx12.params.theta
-    v = dynamics._potential_matrix(ctx12, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(theta)))
+    spec = HamiltonianSpec("potential", potential_coeffs=x1_squared_table(theta))
+    v = band_matrix(ctx12.cutoff, dynamics._potential_bands(ctx12, spec))
     b = np.asarray(ctx12.b)
     bd = np.asarray(ctx12.bdag)
     want = 0.5 * theta * (b @ b + bd @ bd + 2.0 * bd @ b + np.eye(ctx12.cutoff))
@@ -207,8 +212,74 @@ def test_potential_matrix_equals_the_dense_powers_bit_for_bit(theta, cutoff):
     for table in (x1_squared_table(theta), linear_x1_table(0.5), complex_table(), near_free_table(),
                   diagonal_table(), random_hermitian_table(5)):
         spec = HamiltonianSpec("potential", potential_coeffs=table)
-        got, want = dynamics._potential_matrix(ctx, spec), dense_power_potential(ctx, spec.potential_coeffs)
+        got = band_matrix(cutoff, dynamics._potential_bands(ctx, spec))
+        want = dense_power_potential(ctx, spec.potential_coeffs)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def dense_band_superops(ctx, tables):
+    """Every superoperator the package builds, from the bands np.diagonal reads off the dense Fock matrices.
+
+    X1, X2, P1, P2, Lz, the four ladders, then the free, oscillator and each table's Hamiltonian, with
+    the scalars applied as the package applies them.
+    """
+    n, p = ctx.cutoff, ctx.params
+
+    def left_mult(op):
+        return SuperOperator(n, [(side, None) for side in bands(op)])
+
+    def commutator(op):
+        sides = bands(op)
+        return SuperOperator(n, [(side, None) for side in sides] + [(None, (k, -w)) for k, w in sides])
+
+    c = p.hbar / p.theta
+    ops = [left_mult(ctx.x1), left_mult(ctx.x2), c * commutator(ctx.x2), -c * commutator(ctx.x1),
+           -p.hbar / (2.0 * p.theta) * commutator(ctx.r_sq)]
+    (k, root), = bands(ctx.b)
+    a1, c1, a2, c2 = _ladder_coeffs(p)
+    ops += [a * SuperOperator(n, [(band, None)]) + c * SuperOperator(n, [(None, band)])
+            for a, c, band in ((a1, c1, (k, root)), (a1, c1, (-k, root)), (a2, c2, (-k, root)), (a2, c2, (k, root)))]
+    kinetic = p.hbar**2 / (2.0 * p.mass * p.theta**2)
+    hop, c_r_sq = -2.0 * kinetic * p.theta, kinetic * ctx.r_sq
+    for v in [np.zeros((n, n), dtype=complex), 0.5 * p.mass * p.omega**2 * ctx.r_sq,
+              *(dense_power_potential(ctx, table) for table in tables)]:
+        ops.append(SuperOperator(n, [(side, None) for side in bands(c_r_sq + v)]
+                                 + [(None, side) for side in bands(c_r_sq)]
+                                 + [((k, hop * root), (-k, root)), ((-k, hop * root), (k, root))]))
+    return ops
+
+
+def _term_bits(s):
+    return [tuple(None if side is None else (side[0], *_bits(side[1])) for side in term) for term in s.terms]
+
+
+@pytest.mark.parametrize("theta,hbar", [(0.1, 1.0), (0.37, 0.7)])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 12, 32])
+def test_fock_bands_equal_the_dense_matrices_bands_bit_for_bit(cutoff, theta, hbar):
+    # the closed-form bands from ctx.root against what np.diagonal reads off b, x1, x2, r_sq and c r^2 + V
+    ctx = build_fock(ModelParams(theta=theta, hbar=hbar, cutoff=cutoff))
+    tables = (x1_squared_table(theta), complex_table(), linear_x1_table(0.5), near_free_table(), diagonal_table(),
+              random_hermitian_table(5))
+    got = [*position_ops(ctx), *momentum_ops(ctx), angular_momentum(ctx), *ladder_ops(ctx),
+           *(hamiltonian(ctx, spec) for spec in
+             (FREE, OSC, *(HamiltonianSpec("potential", potential_coeffs=table) for table in tables)))]
+    want = dense_band_superops(ctx, tables)
+    assert [_term_bits(s) for s in got] == [_term_bits(s) for s in want]
+
+
+@pytest.mark.parametrize("spec", [OSC, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1))],
+                         ids=["oscillator", "x1-squared-table"])
+def test_hamiltonian_assembles_without_dense_matrices(spec):
+    # 22.1 MiB when V, c r^2 + V and the Hermiticity check's stack were N x N matrices; r_sq is built before
+    ctx = build_fock(ModelParams(theta=0.1, cutoff=400))
+    ctx.r_sq
+    tracemalloc.start()
+    try:
+        hamiltonian(ctx, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _apply_states(rng, n):
@@ -513,7 +584,7 @@ def test_one_column_runs_read_the_label_without_an_eigh(ctx12, monkeypatch):
 def test_non_hermitian_hamiltonian_is_refused(ctx12, v):
     # at construction, before any solve or evolve could read it
     with pytest.raises(ConsistencyError, match="Hermiticity defect"):
-        Hamiltonian(ctx12, v)
+        Hamiltonian(ctx12, bands(v))
 
 
 def gathered_class_blocks(h, v_matrix):
@@ -573,7 +644,7 @@ def _bits(a):
         "oscillator-31", "x1-squared-table-28", "complex-linear-table", "complex-table-28"])
 def test_scattered_blocks_equal_the_gather_bit_for_bit(spec, cutoff, monkeypatch):
     h = hamiltonian(build_fock(ModelParams(theta=0.1, cutoff=cutoff)), spec)
-    mats, want = gathered_class_blocks(h, dynamics._potential_matrix(h.ctx, spec))
+    mats, want = gathered_class_blocks(h, band_matrix(cutoff, dynamics._potential_bands(h.ctx, spec)))
     got_mats = []
     eigh = np.linalg.eigh
 
@@ -624,10 +695,10 @@ def test_hamiltonian_refuses_a_theta_whose_kinetic_prefactor_overflows(theta):
 
 
 def test_hamiltonian_takes_only_a_potential_of_its_cutoff(ctx12):
-    with pytest.raises(UsageError, match="12 x 12"):
-        Hamiltonian(ctx12, np.zeros((11, 11)))
-    with pytest.raises(UsageError, match="12 x 12"):
-        Hamiltonian(ctx12, 0.0)
+    with pytest.raises(UsageError, match="cutoff 12"):
+        Hamiltonian(ctx12, [(0, np.zeros(11))])
+    with pytest.raises(UsageError, match="cutoff 12"):
+        Hamiltonian(ctx12, [(12, np.zeros(0))])
 
 
 @pytest.mark.parametrize("kind", ["oscillator", "x1-squared-table"])
@@ -771,6 +842,26 @@ def test_evolve_ground_state_is_stationary(ctx12):
     overlap = abs(hs_inner(psi0, out))
     assert overlap > 0.97
     assert abs(out.norm - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("theta,hbar,mass,omega,w", [
+    (0.5, 1.0, 1.0, 1.0, 3.0), (1.0, 1.0, 1.0, 1.0, 2.0), (0.3, 0.7, 1.9, 1.3, 2.0 + 1.0j)])
+def test_coherent_centroid_runs_on_two_counter_rotating_lines(theta, hbar, mass, omega, w):
+    # A1 = a1 b. + c1 .b and A2dag = a2 b. + c2 .b (ladder_ops), so left multiplication by b is
+    # (c2 A1 - c1 A2dag) / (a1 c2 - c1 a2), and A1, A2dag turn at -lambda_1/m hbar and +lambda_2/m hbar.
+    # From |w><w|, where b. and .b both read w, the centroid tr(psi^dag b psi) is exactly
+    # u e^{-i lambda_1 t/m hbar} + v e^{+i lambda_2 t/m hbar}, u, v = (w/2)(1 +- m omega theta / R)
+    params = ModelParams(theta=theta, hbar=hbar, mass=mass, omega=omega, cutoff=160)
+    ctx = build_fock(params)
+    h, psi = hamiltonian(ctx, OSC), coherent_state_op(ctx, w)
+    lam1, lam2 = lambdas(params)
+    split = mass * omega * theta / math.hypot(2.0 * hbar, mass * omega * theta)
+    u, v = 0.5 * w * (1.0 + split), 0.5 * w * (1.0 - split)
+    for t in np.linspace(0.0, 500.0, 101):
+        a = evolve(psi, h, t).op
+        centroid = np.vdot(a[:-1], np.sqrt(np.arange(1.0, 160.0))[:, None] * a[1:])  # b a: row l is sqrt(l+1) a[l+1]
+        want = u * np.exp(-1j * lam1 * t / (mass * hbar)) + v * np.exp(1j * lam2 * t / (mass * hbar))
+        assert abs(centroid - want) <= 1e-12 * abs(w)
 
 
 # the oscillator at N=12 has 2N - 1 = 23 square sector blocks, of sizes 12 - |k|

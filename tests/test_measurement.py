@@ -567,7 +567,7 @@ def _traced_peak(fn):
 
 
 def test_measurement_paths_never_build_the_ladder_operators():
-    ladders = {"b", "bdag", "x1", "x2", "r_sq"}
+    ladders = {"root", "b", "bdag", "x1", "x2", "r_sq"}
     ctx = build_fock(ModelParams(theta=THETA, cutoff=344))
     ground = ground_state(ctx)
     excited_state(ctx, 1, 2)
