@@ -156,16 +156,16 @@ def _readonly(a: np.ndarray, dtype: type = complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockContext:
-    """Truncated configuration-space operators shared by every module.
+    """The truncated configuration space as two closed-form vectors shared by every module.
 
-    root is sqrt(l + 1) at l, the band from which every superoperator's Fock
-    bands are written.  b is the annihilator, b[l, l+1] = root[l]; bdag its
-    conjugate transpose; x1 = sqrt(theta/2)(b + bdag) and
-    x2 = i sqrt(theta/2)(bdag - b) the non-commuting coordinates; and
-    r_sq = x1^2 + x2^2 the truncated radius square, whose diagonal the
-    Hamiltonian, the oscillator potential and Lz share.  Each is read-only,
-    built on its first read and cached: a context that only measures needs
-    N and theta alone and never allocates them.
+    root is sqrt(l + 1) at l: b is the band (1, root) and b^dag the band
+    (-1, root), so x1 = sqrt(theta/2)(b + b^dag), x2 = i sqrt(theta/2)(b^dag - b)
+    and every superoperator's Fock bands are written from it.  r_sq_diag is
+    x1^2 + x2^2 = theta (2 b^dag b + 1), a diagonal matrix: theta (2l + 1), and
+    theta (N - 1) at the cut top level, each entry one correctly rounded
+    product.  The Hamiltonian, the oscillator potential and Lz share it.  Both
+    are real, read-only, built on their first read and cached: a context that
+    only measures needs N and theta alone and never allocates them.
     """
 
     params: ModelParams
@@ -179,24 +179,10 @@ class FockContext:
         return _frozen(np.sqrt(np.arange(1.0, self.cutoff)))
 
     @cached_property
-    def b(self) -> np.ndarray:
-        return _frozen(np.diag(self.root + 0j, 1))
-
-    @cached_property
-    def bdag(self) -> np.ndarray:
-        return _frozen(np.ascontiguousarray(self.b.conj().T))
-
-    @cached_property
-    def x1(self) -> np.ndarray:
-        return _frozen(np.sqrt(self.params.theta / 2.0) * (self.b + self.bdag))
-
-    @cached_property
-    def x2(self) -> np.ndarray:
-        return _frozen(1j * np.sqrt(self.params.theta / 2.0) * (self.bdag - self.b))
-
-    @cached_property
-    def r_sq(self) -> np.ndarray:
-        return _frozen(self.x1 @ self.x1 + self.x2 @ self.x2)
+    def r_sq_diag(self) -> np.ndarray:
+        diag = self.params.theta * np.arange(1.0, 2.0 * self.cutoff, 2.0)
+        diag[-1] = self.params.theta * (self.cutoff - 1)  # the top level has no b b^dag part
+        return _frozen(diag)
 
 
 def build_fock(params: ModelParams) -> FockContext:

@@ -107,7 +107,7 @@ class Hamiltonian(SuperOperator):
         if not math.isfinite(c):
             raise ConfigurationError(f"theta = {p.theta!r} is too small: the kinetic prefactor "
                                      "hbar^2/(2 m theta^2) is not a finite float")
-        c_r_sq = c * np.diagonal(ctx.r_sq).real
+        c_r_sq = c * ctx.r_sq_diag
         left = {0: c_r_sq}
         for k, w in map(self._side, v_bands):  # _side checks each band against self.cutoff, set above
             left[k] = left[k] + w if k in left else w
@@ -135,7 +135,7 @@ def _potential_bands(ctx: FockContext, spec: HamiltonianSpec) -> list:
         return []
     if spec.kind == "oscillator":
         p = ctx.params
-        return [(0, 0.5 * p.mass * p.omega**2 * np.diagonal(ctx.r_sq).real)]
+        return [(0, 0.5 * p.mass * p.omega**2 * ctx.r_sq_diag)]
     table = spec.potential_coeffs
     bands = {}
     deg = min(table.shape[0], n)  # (b^dag)^m and b^k vanish from m, k = N on

@@ -26,7 +26,7 @@ __all__ = [
 
 
 def _x_bands(ctx: FockContext) -> tuple[list, list]:
-    """The bands [(-1, w), (1, w)] of x1 and x2 from root, in the bits np.diagonal reads off ctx.x1 and ctx.x2."""
+    """The bands [(-1, w), (1, w)] of x1 and x2 from root, in the bits np.diagonal reads off dense x1 and x2."""
     s, root = np.sqrt(ctx.params.theta / 2.0), ctx.root  # x2's +1 band is i s (bdag - b): -sqrt(l) - 0j times i s
     return [(-1, s * root), (1, s * root)], [(-1, 1j * s * root), (1, 1j * s * (0j - root).conj())]
 
@@ -54,7 +54,7 @@ def angular_momentum(ctx: FockContext) -> SuperOperator:
     two constructions agree identically; see the tests).
     """
     c = -ctx.params.hbar / (2.0 * ctx.params.theta)
-    return c * _commutator_action(ctx.cutoff, [(0, np.diagonal(ctx.r_sq).real)])
+    return c * _commutator_action(ctx.cutoff, [(0, ctx.r_sq_diag)])
 
 
 def rotate(psi: QuantumState, phi: float) -> QuantumState:

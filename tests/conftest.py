@@ -1,4 +1,7 @@
-"""Shared helpers: hypothesis profile, seeded state and superoperator factories, and the dense oracle."""
+"""Shared helpers: hypothesis profile, seeded state and superoperator factories, and the dense oracles."""
+
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +54,26 @@ def bands(mat: np.ndarray) -> list:
     rows, cols = np.nonzero(mat)
     found = [(k, np.diagonal(mat, k)) for k in np.unique(cols - rows).tolist()]
     return [(k, w if w.imag.any() else w.real) for k, w in found]
+
+
+def fock(ctx) -> SimpleNamespace:
+    """The dense truncated Fock matrices b, bdag, x1, x2 and r_sq of ctx, as complex N x N arrays.
+
+    b[l, l+1] = sqrt(l + 1), bdag its conjugate transpose, x1 = sqrt(theta/2)(b + bdag),
+    x2 = i sqrt(theta/2)(bdag - b) and r_sq = x1 @ x1 + x2 @ x2, a BLAS product: the oracle
+    for the package's closed-form bands, which never builds these matrices.
+    """
+    b = np.diag(np.sqrt(np.arange(1.0, ctx.cutoff)) + 0j, 1)
+    bdag = np.ascontiguousarray(b.conj().T)
+    s = np.sqrt(ctx.params.theta / 2.0)
+    x1, x2 = s * (b + bdag), 1j * s * (bdag - b)
+    return SimpleNamespace(b=b, bdag=bdag, x1=x1, x2=x2, r_sq=x1 @ x1 + x2 @ x2)
+
+
+def rounded_r_sq_diag(ctx) -> np.ndarray:
+    """theta (2l + 1), and theta (N - 1) at the top level, each rounded once from the exact rational product."""
+    n, theta = ctx.cutoff, Fraction(ctx.params.theta)
+    return np.array([float(theta * (2 * l + 1 if l < n - 1 else n - 1)) for l in range(n)])
 
 
 def band_matrix(n: int, sides) -> np.ndarray:

@@ -23,7 +23,8 @@ from ncqm import (
     vec,
 )
 from ncqm import core
-from conftest import apply_scale, dense_apply, dense_sides, full_state, interior_state, random_band, random_superop
+from conftest import (apply_scale, dense_apply, dense_sides, fock, full_state, interior_state, random_band,
+                      random_superop, rounded_r_sq_diag)
 
 
 # ---------------------------------------------------------------- parameters
@@ -69,7 +70,7 @@ def test_build_fock_rejects_commutative_point():
 
 def test_annihilator_matrix_elements():
     ctx = build_fock(ModelParams(theta=0.1, cutoff=9))
-    b = np.array(ctx.b)
+    b = fock(ctx).b
     for n in range(1, 9):
         assert b[n - 1, n] == pytest.approx(math.sqrt(n), abs=0.0)
         b[n - 1, n] = 0.0
@@ -78,8 +79,8 @@ def test_annihilator_matrix_elements():
 
 def test_truncated_ladder_commutator_has_top_level_defect():
     n = 12
-    ctx = build_fock(ModelParams(theta=0.1, cutoff=n))
-    comm = ctx.b @ ctx.bdag - ctx.bdag @ ctx.b
+    dense = fock(build_fock(ModelParams(theta=0.1, cutoff=n)))
+    comm = dense.b @ dense.bdag - dense.bdag @ dense.b
     expected = np.eye(n, dtype=complex)
     expected[n - 1, n - 1] -= n
     # entries are (sqrt n)^2 differences, exact only up to one rounding step
@@ -89,55 +90,49 @@ def test_truncated_ladder_commutator_has_top_level_defect():
 def test_positions_hermitian_with_exact_commutator():
     n = 10
     theta = 0.3
-    ctx = build_fock(ModelParams(theta=theta, cutoff=n))
-    assert np.max(np.abs(ctx.x1 - ctx.x1.conj().T)) == 0.0
-    assert np.max(np.abs(ctx.x2 - ctx.x2.conj().T)) == 0.0
-    comm = ctx.x1 @ ctx.x2 - ctx.x2 @ ctx.x1
+    dense = fock(build_fock(ModelParams(theta=theta, cutoff=n)))
+    assert np.max(np.abs(dense.x1 - dense.x1.conj().T)) == 0.0
+    assert np.max(np.abs(dense.x2 - dense.x2.conj().T)) == 0.0
+    comm = dense.x1 @ dense.x2 - dense.x2 @ dense.x1
     expected = 1j * theta * np.eye(n, dtype=complex)
     expected[n - 1, n - 1] -= 1j * theta * n
     assert np.max(np.abs(comm - expected)) < 1e-15 * theta * n
 
 
 def test_radius_squared_diagonal_and_truncation_value():
-    n = 11
-    theta = 0.1
-    ctx = build_fock(ModelParams(theta=theta, cutoff=n))
-    r_sq = ctx.r_sq
-    assert r_sq.tobytes() == (ctx.x1 @ ctx.x1 + ctx.x2 @ ctx.x2).tobytes()
-    diag = np.real(np.diag(r_sq))
-    assert np.max(np.abs(r_sq - np.diag(diag))) < 1e-15
-    # interior levels carry theta(2n+1); the top level loses the b b^dag part
-    assert np.allclose(diag[:-1], theta * (2 * np.arange(n - 1) + 1), rtol=1e-14)
-    assert diag[-1] == pytest.approx(theta * (n - 1), rel=1e-14)
+    # r^2 = theta(2 b^dag b + 1) is diagonal: theta(2n+1) on interior levels, and the top level loses the
+    # b b^dag part.  ctx.r_sq_diag rounds each entry once; the dense product sums its roundings in BLAS order
+    for cutoff in (2, 3, 8, 11, 160, 400):
+        for theta in (0.1, 0.37, 1.0, 1e-3):
+            ctx = build_fock(ModelParams(theta=theta, cutoff=cutoff))
+            r_sq = fock(ctx).r_sq
+            dense = np.diagonal(r_sq)
+            assert not (r_sq - np.diag(dense)).any() and not dense.imag.any()
+            got = ctx.r_sq_diag
+            assert got.dtype == float and got.tobytes() == rounded_r_sq_diag(ctx).tobytes()
+            assert np.all(np.abs(got - dense.real) <= 4 * np.spacing(got))
 
 
 def test_operators_built_on_first_read_match_the_eager_construction():
-    # the eager construction these operators replace, kept as the reference
+    # the context holds two closed-form vectors and none of the dense Fock matrices
     theta, n = 0.3, 13
     ctx = build_fock(ModelParams(theta=theta, cutoff=n))
     assert set(ctx.__dict__) == {"params"}
-    b = np.zeros((n, n), dtype=complex)
-    levels = np.arange(1, n)
-    b[levels - 1, levels] = np.sqrt(levels)
-    bdag = b.conj().T
-    scale = np.sqrt(theta / 2.0)
-    x1, x2 = scale * (b + bdag), 1j * scale * (bdag - b)
-    want = {"x2": x2, "b": b, "x1": x1, "bdag": bdag, "r_sq": x1 @ x1 + x2 @ x2, "root": np.sqrt(levels)}
-    for name, ref in want.items():  # x2 first: it builds root, b and bdag on the way
+    want = {"r_sq_diag": rounded_r_sq_diag(ctx), "root": np.sqrt(np.arange(1, n))}
+    for name, ref in want.items():
         got = getattr(ctx, name)
         assert got is getattr(ctx, name)
         assert got.flags.c_contiguous and not got.flags.writeable
-        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-    assert set(ctx.__dict__) == {"params", "root", "b", "bdag", "x1", "x2", "r_sq"}
+        assert got.dtype == float and got.tobytes() == ref.tobytes()
+    assert set(ctx.__dict__) == {"params", "root", "r_sq_diag"}
+    assert not any(hasattr(ctx, name) for name in ("b", "bdag", "x1", "x2", "r_sq"))
 
 
 def test_context_arrays_are_readonly(ctx01):
     with pytest.raises(ValueError):
-        ctx01.b[0, 1] = 0.0
+        ctx01.root[0] = 0.0
     with pytest.raises(ValueError):
-        ctx01.x1[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        ctx01.r_sq[0, 0] = 1.0
+        ctx01.r_sq_diag[0] = 1.0
 
 
 # ---------------------------------------------------------------- states

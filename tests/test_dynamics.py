@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -46,7 +47,8 @@ from ncqm import (
 )
 from ncqm import dynamics
 from ncqm.oscillator import _ladder_coeffs
-from conftest import apply_scale, band_matrix, bands, dense_apply, dense_sides, full_state, interior_state
+from conftest import (apply_scale, band_matrix, bands, dense_apply, dense_sides, fock, full_state, interior_state,
+                      rounded_r_sq_diag)
 
 FREE = HamiltonianSpec("free")
 OSC = HamiltonianSpec("oscillator")
@@ -123,7 +125,8 @@ def kron_oracle(ctx, v):
     p = ctx.params
     c = p.hbar**2 / (2.0 * p.mass * p.theta**2)
     out = np.kron(v, eye).astype(complex)
-    for x in (np.asarray(ctx.x1), np.asarray(ctx.x2)):
+    dense = fock(ctx)
+    for x in (dense.x1, dense.x2):
         ad = np.kron(x, eye) - np.kron(eye, x.T)
         out += c * (ad @ ad)
     return out
@@ -131,8 +134,8 @@ def kron_oracle(ctx, v):
 
 def oracle_potential(ctx, kind):
     # each kind's V from the position and ladder matrices, independently of _potential_bands
-    p = ctx.params
-    x1, x2, b, bd = (np.asarray(a) for a in (ctx.x1, ctx.x2, ctx.b, ctx.bdag))
+    p, dense = ctx.params, fock(ctx)
+    x1, x2, b, bd = dense.x1, dense.x2, dense.b, dense.bdag
     return {
         "free": np.zeros((ctx.cutoff, ctx.cutoff)),
         "oscillator": 0.5 * p.mass * p.omega**2 * (x1 @ x1 + x2 @ x2),
@@ -169,22 +172,22 @@ def test_potential_table_assembles_normal_ordered_sum(ctx12):
     theta = ctx12.params.theta
     spec = HamiltonianSpec("potential", potential_coeffs=x1_squared_table(theta))
     v = band_matrix(ctx12.cutoff, dynamics._potential_bands(ctx12, spec))
-    b = np.asarray(ctx12.b)
-    bd = np.asarray(ctx12.bdag)
+    dense = fock(ctx12)
+    b, bd = dense.b, dense.bdag
     want = 0.5 * theta * (b @ b + bd @ bd + 2.0 * bd @ b + np.eye(ctx12.cutoff))
     assert np.max(np.abs(v - want)) < 1e-15
 
     # equals the squared position operator except the truncation corner, where
     # b bdag = bdag b + 1 fails by N
     n = ctx12.cutoff
-    x1sq = np.asarray(ctx12.x1 @ ctx12.x1)
+    x1sq = dense.x1 @ dense.x1
     assert np.max(np.abs((v - x1sq)[: n - 1, : n - 1])) < 1e-15
     assert (x1sq - v)[n - 1, n - 1] == pytest.approx(-0.5 * theta * n, rel=1e-14)
 
 
 def dense_power_potential(ctx, table):
     """sum_mk v_mk (b^dag)^m b^k from dense matrix powers: the assembly that the band products replaced."""
-    n = ctx.cutoff
+    n, dense = ctx.cutoff, fock(ctx)
     out = np.zeros((n, n), dtype=complex)
     deg = table.shape[0]
     bd_pow = np.eye(n, dtype=complex)
@@ -193,8 +196,8 @@ def dense_power_potential(ctx, table):
         for k in range(deg):
             if table[m, k] != 0.0:
                 out += table[m, k] * (bd_pow @ b_pow)
-            b_pow = b_pow @ ctx.b
-        bd_pow = bd_pow @ ctx.bdag
+            b_pow = b_pow @ dense.b
+        bd_pow = bd_pow @ dense.bdag
     return out
 
 
@@ -221,9 +224,11 @@ def dense_band_superops(ctx, tables):
     """Every superoperator the package builds, from the bands np.diagonal reads off the dense Fock matrices.
 
     X1, X2, P1, P2, Lz, the four ladders, then the free, oscillator and each table's Hamiltonian, with
-    the scalars applied as the package applies them.
+    the scalars applied as the package applies them.  r^2 is the diagonal matrix of its closed form,
+    each entry rounded once, since the dense product's diagonal carries BLAS's roundings.
     """
-    n, p = ctx.cutoff, ctx.params
+    n, p, dense = ctx.cutoff, ctx.params, fock(ctx)
+    r_sq = np.diag(rounded_r_sq_diag(ctx))
 
     def left_mult(op):
         return SuperOperator(n, [(side, None) for side in bands(op)])
@@ -233,15 +238,15 @@ def dense_band_superops(ctx, tables):
         return SuperOperator(n, [(side, None) for side in sides] + [(None, (k, -w)) for k, w in sides])
 
     c = p.hbar / p.theta
-    ops = [left_mult(ctx.x1), left_mult(ctx.x2), c * commutator(ctx.x2), -c * commutator(ctx.x1),
-           -p.hbar / (2.0 * p.theta) * commutator(ctx.r_sq)]
-    (k, root), = bands(ctx.b)
+    ops = [left_mult(dense.x1), left_mult(dense.x2), c * commutator(dense.x2), -c * commutator(dense.x1),
+           -p.hbar / (2.0 * p.theta) * commutator(r_sq)]
+    (k, root), = bands(dense.b)
     a1, c1, a2, c2 = _ladder_coeffs(p)
     ops += [a * SuperOperator(n, [(band, None)]) + c * SuperOperator(n, [(None, band)])
             for a, c, band in ((a1, c1, (k, root)), (a1, c1, (-k, root)), (a2, c2, (-k, root)), (a2, c2, (k, root)))]
     kinetic = p.hbar**2 / (2.0 * p.mass * p.theta**2)
-    hop, c_r_sq = -2.0 * kinetic * p.theta, kinetic * ctx.r_sq
-    for v in [np.zeros((n, n), dtype=complex), 0.5 * p.mass * p.omega**2 * ctx.r_sq,
+    hop, c_r_sq = -2.0 * kinetic * p.theta, kinetic * r_sq
+    for v in [np.zeros((n, n), dtype=complex), 0.5 * p.mass * p.omega**2 * r_sq,
               *(dense_power_potential(ctx, table) for table in tables)]:
         ops.append(SuperOperator(n, [(side, None) for side in bands(c_r_sq + v)]
                                  + [(None, side) for side in bands(c_r_sq)]
@@ -256,7 +261,8 @@ def _term_bits(s):
 @pytest.mark.parametrize("theta,hbar", [(0.1, 1.0), (0.37, 0.7)])
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 12, 32])
 def test_fock_bands_equal_the_dense_matrices_bands_bit_for_bit(cutoff, theta, hbar):
-    # the closed-form bands from ctx.root against what np.diagonal reads off b, x1, x2, r_sq and c r^2 + V
+    # the closed-form bands from ctx.root and ctx.r_sq_diag against what np.diagonal reads off b, x1, x2, r^2
+    # and c r^2 + V
     ctx = build_fock(ModelParams(theta=theta, hbar=hbar, cutoff=cutoff))
     tables = (x1_squared_table(theta), complex_table(), linear_x1_table(0.5), near_free_table(), diagonal_table(),
               random_hermitian_table(5))
@@ -270,16 +276,17 @@ def test_fock_bands_equal_the_dense_matrices_bands_bit_for_bit(cutoff, theta, hb
 @pytest.mark.parametrize("spec", [OSC, HamiltonianSpec("potential", potential_coeffs=x1_squared_table(0.1))],
                          ids=["oscillator", "x1-squared-table"])
 def test_hamiltonian_assembles_without_dense_matrices(spec):
-    # 22.1 MiB when V, c r^2 + V and the Hermiticity check's stack were N x N matrices; r_sq is built before
-    ctx = build_fock(ModelParams(theta=0.1, cutoff=400))
-    ctx.r_sq
-    tracemalloc.start()
-    try:
-        hamiltonian(ctx, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    # 22.1 MiB at N = 400 when V, c r^2 + V and the Hermiticity check's stack were N x N matrices, and the
+    # dense r^2 alone was about 1.5 GB at N = 4000; a fresh context builds only root and r_sq_diag
+    for cutoff in (400, 4000):
+        ctx = build_fock(ModelParams(theta=0.1, cutoff=cutoff))
+        tracemalloc.start()
+        try:
+            hamiltonian(ctx, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def _apply_states(rng, n):
@@ -787,6 +794,40 @@ def test_sector_stack_holds_n_cubed_real_entries(kind):
     assert all(np.shares_memory(bv, v) and np.shares_memory(bw, w) for _, _, bw, bv in blocks)
 
 
+def laguerre_jacobi(alpha, size, lowered):
+    """The Jacobi matrix of the Laguerre polynomials L^(alpha), size x size, with its last diagonal entry lowered.
+
+    Diagonal 2j + alpha + 1 and off-diagonal sqrt(j (j + alpha)), from the three-term recurrence (Koekoek, Lesky
+    and Swarttouw, Hypergeometric Orthogonal Polynomials and Their q-Analogues, 2010, section 9.12).
+    """
+    j = np.arange(size)
+    off = np.sqrt(j[1:] * (j[1:] + alpha))
+    jacobi = np.diag(2.0 * j + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    jacobi[-1, -1] -= lowered
+    return jacobi
+
+
+@pytest.mark.parametrize("theta,hbar,mass", [(1.0, 1.0, 1.0), (0.3, 0.7, 1.9)])
+@pytest.mark.parametrize("cutoff", [8, 20, 40])
+def test_free_sector_levels_are_laguerre_jacobi_eigenvalues(cutoff, theta, hbar, mass):
+    # a Jacobi matrix's eigenvalues are its family's zeros (Golub and Welsch, Math. Comp. 23, 221 (1969)); the
+    # sector-k block is 2 c theta times that of L^(|k|), with the cut top entry of r^2 lowering its last diagonal
+    # entry by N for k = 0 and N/2 otherwise, so sector 0 is the Gauss-Radau-Laguerre rule with a node at 0
+    n = cutoff
+    h = hamiltonian(build_fock(ModelParams(theta=theta, hbar=hbar, mass=mass, cutoff=n)), FREE)
+    sectors = {}
+    for e, _, lz, _ in spectrum_levels(h):
+        sectors.setdefault(round(-lz / hbar), []).append(e)
+    assert sorted(sectors) == list(range(1 - n, n))
+    scale = hbar**2 / (mass * theta)  # 2 c theta, with c = hbar^2 / (2 m theta^2)
+    top = max(abs(e) for levels in sectors.values() for e in levels)
+    for k, levels in sectors.items():
+        want = scale * np.linalg.eigvalsh(laguerre_jacobi(abs(k), n - abs(k), n if k == 0 else n / 2))
+        assert np.max(np.abs(np.sort(levels) - want)) <= 1e-14 * top
+    radau = np.concatenate([[0.0], scale * scipy.special.roots_genlaguerre(n - 1, 1)[0]])
+    assert np.max(np.abs(np.sort(sectors[0]) - radau)) <= 1e-14 * top
+
+
 def free_packet(params, k, t):
     """The free flow of |k><0| in infinite dimensions, truncated to the cutoff, and its weight beyond it.
 
@@ -960,7 +1001,8 @@ def series_plane_wave(ctx, kappa):
             term = term @ mat / j
             out = out + term
         return out
-    return exp_series(1j * kappa * ctx.b) @ exp_series(1j * np.conj(kappa) * ctx.bdag)
+    dense = fock(ctx)
+    return exp_series(1j * kappa * dense.b) @ exp_series(1j * np.conj(kappa) * dense.bdag)
 
 
 @pytest.mark.parametrize("cutoff", [2, 8, 40, 160])
@@ -1015,7 +1057,8 @@ def test_continuity_identity_every_state(spec):
 def product_continuity_residual(psi, h):
     # the currents as written, j = c (psi^dag [x, psi] - [x, psi^dag] psi), from dense products only
     p = h.ctx.params
-    x1, x2, a = h.ctx.x1, h.ctx.x2, psi.op
+    dense, a = fock(h.ctx), psi.op
+    x1, x2 = dense.x1, dense.x2
     adag = a.conj().T
     psi_dot = -1j / p.hbar * h.apply(psi).op
     rho_dot = psi_dot.conj().T @ a + adag @ psi_dot
@@ -1046,7 +1089,8 @@ def test_continuity_commutators_by_shifts_match_the_products():
     ctx = build_fock(ModelParams(theta=0.3, cutoff=17))
     h = hamiltonian(ctx, FREE)
     a = full_state(np.random.default_rng(6), 17).op
-    for got, x in zip(dynamics._x_commutators(h, a), (ctx.x1, ctx.x2)):
+    dense = fock(ctx)
+    for got, x in zip(dynamics._x_commutators(h, a), (dense.x1, dense.x2)):
         assert np.max(np.abs(got - (x @ a - a @ x))) < 1e-15
 
 

@@ -22,7 +22,7 @@ from ncqm import (
     time_reverse,
     time_reverse_conjugate,
 )
-from conftest import full_state, interior_state, random_superop
+from conftest import fock, full_state, interior_state, random_superop
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,8 @@ def test_momenta_match_ladder_commutator_form(ctx, obs):
     p1m, p2m = obs.P1.matrix, obs.P2.matrix
     eye = np.eye(ctx.cutoff)
     pref = -1j * ctx.params.hbar * math.sqrt(2.0 / ctx.params.theta)
-    for sign, ladder, c in ((1.0, ctx.b, pref), (-1.0, ctx.bdag, -pref)):
+    dense = fock(ctx)
+    for sign, ladder, c in ((1.0, dense.b, pref), (-1.0, dense.bdag, -pref)):
         commutator = c * (np.kron(ladder, eye) - np.kron(eye, ladder.T))  # L psi R <-> kron(L, R^T)
         scale = np.max(np.abs(commutator))
         assert np.max(np.abs(p1m + sign * 1j * p2m - commutator)) < 1e-13 * scale
@@ -128,9 +129,11 @@ def test_rotation_additive_and_isometric(phi1, phi2):
 
 def test_rotation_mixes_position_operators(ctx):
     phi = 0.7
-    rotated = rotate(QuantumState(ctx.x1), phi).op
-    target = math.cos(phi) * ctx.x1 + math.sin(phi) * ctx.x2
-    assert np.linalg.norm(rotated - target) < 1e-12 * np.linalg.norm(ctx.x1)
+    dense = fock(ctx)
+    x1, x2 = dense.x1, dense.x2
+    rotated = rotate(QuantumState(x1), phi).op
+    target = math.cos(phi) * x1 + math.sin(phi) * x2
+    assert np.linalg.norm(rotated - target) < 1e-12 * np.linalg.norm(x1)
 
 
 def test_full_turn_is_identity(rng):
@@ -152,12 +155,13 @@ def test_time_reverse_antilinear_involution(rng):
 
 def test_conjugated_position_is_right_multiplication(ctx, obs, rng):
     # Theta X_i Theta psi = psi x_i for every state, boundary support included
+    dense = fock(ctx)
     for _ in range(3):
         psi = full_state(rng, ctx.cutoff)
         got1 = time_reverse(obs.X1.apply(time_reverse(psi))).op
         got2 = time_reverse(obs.X2.apply(time_reverse(psi))).op
-        assert np.max(np.abs(got1 - psi.op @ ctx.x1)) < 1e-14
-        assert np.max(np.abs(got2 - psi.op @ ctx.x2)) < 1e-14
+        assert np.max(np.abs(got1 - psi.op @ dense.x1)) < 1e-14
+        assert np.max(np.abs(got2 - psi.op @ dense.x2)) < 1e-14
 
 
 def test_conjugation_flips_momenta_exactly(ctx, obs, rng):

@@ -37,7 +37,7 @@ from ncqm import (
     position_ops,
 )
 from ncqm import oscillator
-from conftest import interior_state
+from conftest import fock, interior_state
 
 P01 = ModelParams(theta=0.1, cutoff=30)
 
@@ -181,7 +181,7 @@ def test_ground_state_geometric_diagonal(ctx01):
 def test_ground_state_diagonal_shift_identity(ctx01):
     # [b, psi0] = (1 - e^{-alpha}) b psi0 holds exactly, truncation included
     psi0 = ground_state(ctx01).op
-    b = np.array(ctx01.b)
+    b = fock(ctx01).b
     lhs = b @ psi0 - psi0 @ b
     rhs = (1.0 - math.exp(-alpha(ctx01.params))) * (b @ psi0)
     assert np.max(np.abs(lhs - rhs)) < 1e-15  # identity is exact, entries round once
