@@ -136,7 +136,7 @@ def _potential_bands(ctx: FockContext, spec: HamiltonianSpec) -> list:
     if spec.kind == "oscillator":
         p = ctx.params
         return [(0, 0.5 * p.mass * p.omega**2 * ctx.r_sq_diag)]
-    table = spec.potential_coeffs
+    table = spec.potential_coeffs if spec.potential_coeffs.imag.any() else spec.potential_coeffs.real
     bands = {}
     deg = min(table.shape[0], n)  # (b^dag)^m and b^k vanish from m, k = N on
     up, down = [np.ones(n)], [np.ones(n)]  # up[k][j] = sqrt(j+1)...sqrt(j+k), down[m][j] = sqrt(j+m)...sqrt(j+1)
@@ -145,7 +145,7 @@ def _potential_bands(ctx: FockContext, spec: HamiltonianSpec) -> list:
         down.append(down[-1][1:] * ctx.root[:n - i])
     for m, k in zip(*np.nonzero(table[:deg, :deg])):
         size = n - max(m, k)
-        band = bands.setdefault(k - m, np.zeros(n - abs(k - m), dtype=complex))
+        band = bands.setdefault(k - m, np.zeros(n - abs(k - m), dtype=table.dtype))
         band[min(m, k):] += table[m, k] * (down[m][:size] * up[k][:size])
     return [(k, w) for k, w in sorted(bands.items()) if w.any()]
 

@@ -1,9 +1,9 @@
 """Exact solution of the non-commutative harmonic oscillator.
 
-Everything here is closed-form: the Bogoliubov frequencies lambda_1 >= lambda_2,
-the ground-state decay exponent alpha, the 4x4 symplectic diagonalization, the
-ladder superoperators, the spectrum E(n1, n2), and the ground-state position
-density.  The truncated numerical modules are validated against this layer.
+Everything here is closed-form: the Bogoliubov frequencies lambda_1 >= lambda_2, the
+ground-state decay exponent alpha, the 4x4 symplectic diagonalization, the ladder
+superoperators, the spectrum E(n1, n2) and its states, Meixner functions on one diagonal,
+and the ground-state position density.  The truncated numerical modules are checked on it.
 
 Closed forms are written in cancellation-free shape: with R = sqrt(4 hbar^2 +
 m^2 w^2 th^2),
@@ -277,18 +277,15 @@ def ground_state(ctx: FockContext) -> QuantumState:
 
 
 def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
-    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, by a recurrence on the one diagonal it occupies.
+    """Normalized (A1dag)^n1 (A2dag)^n2 psi_0, a Meixner function on the diagonal m - l = k = n1 - n2.
 
-    Each two-term ladder moves a state on the diagonal m - l = d to the next;
-    with u_m = psi_{m, m-d} and the coefficients of _ladder_coeffs,
-
-        A1dag: u_m <- a1 sqrt(m) u_{m-1} + c1 sqrt(m-d) u_m,      d -> d + 1
-        A2dag: u_m <- a2 sqrt(m+1) u_{m+1} + c2 sqrt(m-d+1) u_m,  d -> d - 1
-
-    A1dag reads no level above m and A2dag reads one, so from the N + n2
-    levels of psi_0 (u_m = e^{alpha m}) the levels below N come out exact; u
-    is rescaled by powers of two to stay finite.  Besides ground_state's tail
-    check, a block that misses the diagonal or underflows raises TruncationError.
+    With c = e^{2 alpha}, beta = |k| + 1 and j = min(n1, n2), its entry at place l = min(m, l) is
+    (-1)^max(k, 0) u_l, u_l = sqrt((beta)_l c^l / l!) M_j(l; beta, c) (Koekoek, Lesky and Swarttouw,
+    section 9.10), and b_l u_{l+1} = a_l u_l - b_{l-1} u_{l-1} with a_l = l + (l + beta) c - j (1 - c)
+    and b_l = sqrt((l + 1)(l + beta) c).  This runs up from u_0 = 1; if u starts to decay at a place p
+    inside the block (a_l > b_l + b_{l-1} from p on), it runs down to p from 40/|alpha| places past the block.
+    Besides ground_state's tail check, TruncationError refuses a diagonal that misses the block, and a
+    block whose share of sum u_l^2 = c^-j j! / ((beta)_j (1 - c)^beta) is not a normal double.
     """
     if n1 < 0 or n2 < 0 or int(n1) != n1 or int(n2) != n2:
         raise UsageError(f"quantum numbers must be non-negative integers, got ({n1}, {n2})")
@@ -296,27 +293,29 @@ def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
     if n1 == 0 and n2 == 0:
         return psi0
 
-    n = ctx.params.cutoff
-    if abs(n1 - n2) >= n:
-        raise TruncationError(f"excited state ({n1}, {n2}) lies on the diagonal m - l = {n1 - n2}, "
+    n, k = ctx.params.cutoff, n1 - n2
+    if abs(k) >= n:
+        raise TruncationError(f"excited state ({n1}, {n2}) lies on the diagonal m - l = {k}, "
                               f"outside the block; the cutoff N = {n} must exceed |n1 - n2|")
-    if n + n1 + n2 > 2000:
-        raise TruncationError(f"n1 + n2 = {n1 + n2} at cutoff {n} needs internal cutoff {n + n1 + n2} > 2000; "
-                              "state not representable at feasible size")
-    a1, c1, a2, c2 = _ladder_coeffs(ctx.params)
-    m = np.arange(n + n2, dtype=float)
-    u, d = np.exp(alpha(ctx.params) * m), 0
-    for step in range(n1 + n2):
-        if step < n1:  # A1dag, d -> d + 1
-            u = a1 * np.sqrt(m) * np.append(0.0, u[:-1]) + c1 * np.sqrt(np.maximum(m - d, 0.0)) * u
-            d += 1
-        else:  # A2dag, d -> d - 1
-            d -= 1
-            u = a2 * np.sqrt(m + 1) * np.append(u[1:], 0.0) + c2 * np.sqrt(np.maximum(m - d, 0.0)) * u
-        u = np.ldexp(u, -math.frexp(np.max(np.abs(u)))[1])
-    rows = slice(max(d, 0), n + min(d, 0))  # the rows below N whose column m - d lies in the block
-    top = np.max(np.abs(u[rows]))
-    if top == 0.0:  # every entry underflowed against the levels above N
+    a = alpha(ctx.params)
+    j, beta, size, c = min(n1, n2), abs(k) + 1, n - abs(k), math.exp(2.0 * a)
+    for l in (np.arange(float(math.ceil(size - reach / a))) for reach in (0.0, 40.0)):  # the block first
+        diag, off = l + (l + beta) * c + j * math.expm1(2.0 * a), np.sqrt((l + 1.0) * (l + beta) * c)
+        inside = np.flatnonzero(diag <= off + np.append(0.0, off[:-1]))  # an interval: a_l - b_l - b_{l-1} is convex
+        q = min(inside[-1] + 1 if inside.size else size, size - 1)  # none: the block is below the lower turning point
+        if q == size - 1:  # u does not decay inside the block, where |alpha| may be tiny: the downward sweep is empty
+            break  # else the block holds the upper turning point, so |alpha| >~ 1/N and 40/|alpha| places are O(N)
+    u = []  # the downward sweep, to q from the last place, then the upward, from u_0 = 1 to q
+    for d_run, b_run in ((diag[:q:-1], off[q:-1][::-1]), (diag[:q], off)):
+        down, u, shift = u, [0.0, 1.0], 0  # u_{L+1} = 0, and u_{-1} = 0
+        for d, back, fwd in zip(d_run.tolist(), [0.0] + b_run.tolist(), b_run.tolist()):
+            u.append((d * u[-1] - back * u[-2]) / fwd)
+            if abs(u[-1]) > 2.0**300:  # u / 2^shift stays finite; entries 2^-774 below the newest underflow
+                u, shift = [x * 2.0**-300 for x in u], shift + 300
+    u = np.append(u[1:q + 1], np.array(down[:0:-1]) * (u[q + 1] / down[-1]))[:size]
+    share = math.exp(2.0 * (math.log(np.linalg.norm(u)) + shift * math.log(2.0) + a * j) - math.lgamma(j + 1.0)
+                     + math.lgamma(j + beta) - math.lgamma(beta) + beta * math.log(-math.expm1(2.0 * a)))
+    if not share >= np.finfo(float).tiny:
         raise TruncationError(f"excited state ({n1}, {n2}) has no weight in the {n} x {n} block that a "
                               "float can hold; raise the cutoff")
-    return QuantumState(np.diag(np.ldexp(u[rows], -math.frexp(top)[1]), -d).astype(complex)).normalized()
+    return QuantumState(np.diag((-1.0) ** max(k, 0) / np.linalg.norm(u) * u, -k).astype(complex))

@@ -215,9 +215,12 @@ def test_potential_matrix_equals_the_dense_powers_bit_for_bit(theta, cutoff):
     for table in (x1_squared_table(theta), linear_x1_table(0.5), complex_table(), near_free_table(),
                   diagonal_table(), random_hermitian_table(5)):
         spec = HamiltonianSpec("potential", potential_coeffs=table)
-        got = band_matrix(cutoff, dynamics._potential_bands(ctx, spec))
+        bands = dynamics._potential_bands(ctx, spec)
+        got = band_matrix(cutoff, bands)
         want = dense_power_potential(ctx, spec.potential_coeffs)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # a real table keeps real bands: its Hamiltonian allocates no complex band
+        assert all(np.isrealobj(w) != table.imag.any() for _, w in bands)
 
 
 def dense_band_superops(ctx, tables):

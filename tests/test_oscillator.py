@@ -1,8 +1,10 @@
 """Closed-form oscillator layer: frequencies, ground/excited states, Bogoliubov data."""
 
+import itertools
 import math
 import re
 import sys
+import time
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
@@ -29,12 +31,14 @@ from ncqm import (
     ground_state,
     ground_tail_weight,
     hamiltonian,
+    hs_inner,
     interior_residual,
     k_norms,
     ladder_ops,
     lambdas,
     momentum_ops,
     position_ops,
+    spectrum_levels,
 )
 from ncqm import oscillator
 from conftest import fock, interior_state
@@ -346,14 +350,16 @@ def test_excited_state_builds_no_context_and_applies_no_superoperator(ctx01, mon
 
 
 def _mp_excited(params, n1, n2):
-    """40-digit (A1dag)^n1 (A2dag)^n2 psi_0 on the N x N block, from the two-term forms
+    """(A1dag)^n1 (A2dag)^n2 psi_0 on the N x N block, from the two-term forms
 
     A1dag psi = -sqrt(2 th/K1) ((l1/hbar + hbar/th) b^dag psi - (hbar/th) psi b^dag)
     A2dag psi =  sqrt(2 th/K2) ((l2/hbar - hbar/th) b psi + (hbar/th) psi b)
 
-    applied as index shifts on a matrix with room for every raised level.
+    applied as index shifts on a matrix with room for every raised level.  The ladders cancel
+    as the library's recurrence once did, so the working precision grows with n1 + n2:
+    at (20, 20), theta = 0.1, 40 digits leave the result 2.2e-6 from a 120-digit one.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(40 + 4 * (n1 + n2)):
         th, hb, m, w = (mpmath.mpf(v) for v in (params.theta, params.hbar, params.mass, params.omega))
         mw = m * w
         big = mpmath.sqrt(4 * hb**2 + (mw * th) ** 2) + mw * th
@@ -383,16 +389,71 @@ def _mp_excited(params, n1, n2):
 
 
 def test_excited_state_matches_mpmath_ladders(ctx01):
-    for n1, n2 in ((1, 0), (0, 1), (2, 1), (1, 3)):
-        got = np.array(excited_state(ctx01, n1, n2).op)
-        assert np.max(np.abs(got - _mp_excited(ctx01.params, n1, n2))) < 1e-11
+    # the ladder recurrence once missed (6, 6) by 1.3e-4 and (8, 8) at theta = 0.03 by 0.45
+    cases = [(ctx01, q) for q in ((1, 0), (0, 1), (2, 1), (1, 3), (3, 3), (4, 4), (5, 5), (6, 6),
+                                  (3, 9), (4, 8), (0, 8), (5, 2))]
+    for ctx, (n1, n2) in cases + [(build_fock(ModelParams(theta=0.03, cutoff=80)), (8, 8))]:
+        got = np.array(excited_state(ctx, n1, n2).op)
+        assert np.max(np.abs(got - _mp_excited(ctx.params, n1, n2))) < 1e-11
+
+
+def test_excited_states_are_the_sector_eigenvectors_at_their_closed_form_energies():
+    params = ModelParams(theta=0.37, hbar=0.7, mass=1.3, omega=0.9, cutoff=60)
+    ctx = build_fock(params)
+    states = ((0, 0), (1, 0), (0, 1), (2, 1), (3, 3), (1, 4), (6, 6))
+    top = max(energy(params, n1, n2) for n1, n2 in states)
+    levels = list(itertools.takewhile(lambda level: level[0] < top + 1.0,
+                                      spectrum_levels(hamiltonian(ctx, HamiltonianSpec("oscillator")))))
+    for n1, n2 in states:
+        e = energy(params, n1, n2)
+        _, psi, _, _ = min((level for level in levels if level[2] == params.hbar * (n2 - n1)),
+                           key=lambda level: abs(level[0] - e))
+        assert 1.0 - abs(hs_inner(psi, excited_state(ctx, n1, n2))) <= 1e-13
+
+
+def _mp_meixner(params, n1, n2):
+    """Normalized diagonal of excited_state from the closed form sqrt((beta)_l c^l / l!) 2F1(-j, -l; beta; 1 - 1/c)."""
+    with mpmath.workdps(30):
+        c = mpmath.exp(2 * mpmath.mpf(alpha(params)))
+        k, j = n1 - n2, min(n1, n2)
+        u = [(-1) ** max(k, 0) * mpmath.sqrt(mpmath.rf(abs(k) + 1, l) * c**l / mpmath.factorial(l))
+             * mpmath.hyp2f1(-j, -l, abs(k) + 1, 1 - 1 / c) for l in range(params.cutoff - abs(k))]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in u))
+        return np.array([float(x / norm) for x in u])
+
+
+def test_excited_state_keeps_its_relative_digits_where_it_decays():
+    # the block reaches past the place where u starts to decay: joining the two sweeps where a_l > 2 b_l
+    # instead of a_l > b_l + b_{l-1} runs the upward sweep about 115 places into the decay, 1e-7 off there
+    params = ModelParams(theta=0.1, cutoff=400)
+    ctx = build_fock(params)
+    for n1, n2 in ((1, 0), (0, 3)):
+        got = np.diag(excited_state(ctx, n1, n2).op, n2 - n1).real
+        assert np.max(np.abs(got / _mp_meixner(params, n1, n2) - 1.0)) < 1e-11
+
+
+def test_excited_states_at_tiny_theta_sweep_only_the_block():
+    # the ground-state gate admits N = 1001 as theta -> 0, where 40/|alpha| places past the block would be
+    # 4e7 at theta = 1e-6 and 4e21 at 1e-20; u does not decay inside the block there, so none are swept
+    for theta in (1e-20, 1e-6):
+        params = ModelParams(theta=theta, cutoff=1001)
+        ctx = build_fock(params)
+        for n1, n2 in ((1, 0), (3, 3), (0, 5)):
+            start = time.perf_counter()
+            got = np.diag(excited_state(ctx, n1, n2).op, n2 - n1).real
+            assert time.perf_counter() - start < 5.0
+            assert np.max(np.abs(got - _mp_meixner(params, n1, n2))) < 1e-11
+    # at theta = 1e-310, 1 - c is subnormal: the block of (1, 0) holds no normal share of its weight
+    with pytest.raises(TruncationError, match="raise the cutoff"):
+        excited_state(build_fock(ModelParams(theta=1e-310, cutoff=1001)), 1, 0)
 
 
 def test_excited_state_truncation_gate_names_the_cutoff(ctx01):
     with pytest.raises(TruncationError, match="N >="):
         excited_state(build_fock(ModelParams(theta=0.1, cutoff=12)), 1, 0)
-    with pytest.raises(TruncationError, match="n1 \\+ n2 = 2000 at cutoff 30"):
-        excited_state(ctx01, 1000, 1000)
+    # no internal cutoff caps the quantum numbers: the block of (1000, 1000) holds 5.0e-21 of its weight
+    psi = excited_state(ctx01, 1000, 1000)
+    assert psi.is_normalized() and np.max(np.abs(np.diag(psi.op) - _mp_meixner(ctx01.params, 1000, 1000))) < 1e-11
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -401,11 +462,12 @@ def test_excited_states_out_of_reach_are_refused_and_in_reach_stay_finite(ctx01)
     for n1, n2 in ((30, 0), (0, 30), (100, 0), (200, 0), (40, 1000)):
         with pytest.raises(TruncationError, match="must exceed \\|n1 - n2\\|"):
             excited_state(ctx01, n1, n2)
-    # rescaled at every ladder step: these once overflowed to a non-finite state
-    for n1, n2 in ((100, 100), (985, 985), (980, 970)):
+    # these once overflowed to a non-finite state; their blocks hold 7.1e-2, 5.1e-27 and 3.5e-20 of their weight
+    for n1, n2 in ((100, 100), (980, 970), (985, 985)):
         psi = excited_state(ctx01, n1, n2)
-        assert psi.is_normalized() and np.count_nonzero(psi.op) > 0
-    # at theta = 1 the block of (985, 985) lies below the float range of its upper levels
+        assert psi.is_normalized()
+        assert np.max(np.abs(np.diag(psi.op, n2 - n1) - _mp_meixner(ctx01.params, n1, n2))) < 1e-11
+    # at theta = 1 the block of (985, 985) holds 1e-692 of its weight, below every normal double
     with pytest.raises(TruncationError, match="raise the cutoff"):
         excited_state(build_fock(ModelParams(theta=1.0, cutoff=30)), 985, 985)
 
