@@ -62,6 +62,7 @@ from .measurement import (
 )
 from .observables import angular_momentum, momentum_ops, position_ops, rotate, time_reverse
 from .oscillator import (
+    _named,
     energy,
     excited_state,
     ground_state,
@@ -249,11 +250,16 @@ def _load_state_file(path: str) -> np.ndarray:
 
 
 def _sigma_x(opts: dict) -> float:
-    """Ground-state position spread sqrt(theta / (2s - s^2)), s = theta lam2 / hbar^2."""
+    """Ground-state position spread sqrt(theta / (2s - s^2)), s = theta lam2 / hbar^2; ConfigurationError if infinite."""
     params = _params(opts, 2)
     _, lam2 = lambdas(params)
     s = params.theta * lam2 / params.hbar**2
-    return math.sqrt(params.theta / (s * (2.0 - s)))
+    width = s * (2.0 - s)
+    spread_sq = params.theta / width if width > 0.0 else math.inf
+    if not math.isfinite(spread_sq):
+        raise ConfigurationError(f"the ground state's position spread is not a finite float at {_named(params)}; "
+                                 "pass --extent")
+    return math.sqrt(spread_sq)
 
 
 def _extent(kind: str, detail, opts: dict, cutoff: int | None) -> float:
@@ -288,8 +294,11 @@ def _build_state(kind: str, detail, opts: dict, default: int | None = None):
 
     Without --cutoff a file state takes its dimension, a plane wave 40, and the
     other states default, or when it is None a cutoff that fits the grid extent.
-    Returns (ctx, psi, extent, notes).  theta > 0 is checked here, not left
-    to build_fock, because the default extent and cutoff divide by it first.
+    Returns (ctx, state, extent, notes); state() builds the normalized state, so
+    evolve can refuse its Hamiltonian first, as spectrum does.  The extent of a
+    ground, excited or coherent state is None when default is given: only the
+    grid reads it, and it gives none.  theta > 0 is checked here, not left to
+    build_fock, because the default extent and cutoff divide by it first.
     """
     theta = float(opts["theta"])
     if theta <= 0.0:
@@ -303,28 +312,25 @@ def _build_state(kind: str, detail, opts: dict, default: int | None = None):
         if _cutoff(opts, cutoff) != cutoff:
             raise UsageError(f"--cutoff {opts['cutoff']} disagrees with state file dimension {cutoff}")
         ctx = build_fock(_params(opts, cutoff))
-        return ctx, QuantumState(arr).normalized(), _extent(kind, detail, opts, cutoff), notes
+        return ctx, QuantumState(arr).normalized, _extent(kind, detail, opts, cutoff), notes
 
     if kind == "plane":
         cutoff = _cutoff(opts, 40)
         ctx = build_fock(_params(opts, cutoff))
-        psi, _ = plane_wave(ctx, detail)
         notes.append("plane wave normalized over the truncated space; it is not "
                      "normalizable on the plane, so the grid normalization estimate "
                      "reflects the window, not unity")
-        return ctx, psi.normalized(), _extent(kind, detail, opts, cutoff), notes
+        return ctx, lambda: plane_wave(ctx, detail)[0].normalized(), _extent(kind, detail, opts, cutoff), notes
 
-    extent = _extent(kind, detail, opts, None)
+    extent = None if default else _extent(kind, detail, opts, None)
     if default is None and opts["cutoff"] is None:
         default = _auto_cutoff(extent, theta)
     ctx = build_fock(_params(opts, _cutoff(opts, default)))
     if kind == "ground":
-        psi = ground_state(ctx)
-    elif kind == "excited":
-        psi = excited_state(ctx, *detail)
-    else:
-        psi = coherent_state_op(ctx, detail)
-    return ctx, psi, extent, notes
+        return ctx, lambda: ground_state(ctx), extent, notes
+    if kind == "excited":
+        return ctx, lambda: excited_state(ctx, *detail), extent, notes
+    return ctx, lambda: coherent_state_op(ctx, detail), extent, notes
 
 
 def _random_interior_state(rng: np.random.Generator, cutoff: int, margin: int, least: int = 1) -> QuantumState:
@@ -466,7 +472,8 @@ def _run_probability(opts: dict) -> int:
     if opts["extent"] is not None and _finite(opts, "extent") <= 0.0:
         raise UsageError(f"--extent must be positive, got {opts['extent']}")
     kind, detail = _parse_state_selector(opts["state"])
-    ctx, psi, extent, notes = _build_state(kind, detail, opts)
+    ctx, state, extent, notes = _build_state(kind, detail, opts)
+    psi = state()
 
     grid = GridSpec((-extent, extent), (-extent, extent), (points, points))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -506,8 +513,9 @@ def _run_evolve(opts: dict) -> int:
     system = str(opts["system"])
     state_raw = str(opts["state"])
     kind, detail = _parse_state_selector(state_raw)
-    ctx, psi0, _, notes = _build_state(kind, detail, opts, 30)
+    ctx, state, _, notes = _build_state(kind, detail, opts, 30)
     h = hamiltonian(ctx, HamiltonianSpec(system))
+    psi0 = state()
 
     psi_t = evolve(psi0, h, t)
     e0 = hs_inner(psi0, h.apply(psi0)).real
@@ -690,6 +698,10 @@ def _suite_oscillator_oracle(ctx: FockContext, rng: np.random.Generator) -> list
     hbar, m, w, theta = params.hbar, params.mass, params.omega, params.theta
     lam1, lam2 = lambdas(params)
     k1, k2 = k_norms(params)
+    scale = hbar * m * w
+    if not 0.0 < scale * scale < math.inf:
+        raise ConfigurationError(f"(hbar m omega)^2, the scale of the lambda identities, is not a positive "
+                                 f"finite float at {_named(params)}")
 
     rows = []
     rows.append(_check_row(
@@ -702,7 +714,7 @@ def _suite_oscillator_oracle(ctx: FockContext, rng: np.random.Generator) -> list
     a_direct = 2.0 * math.log(2.0 * hbar / (radical + m * w * theta))  # e^alpha = (2 hbar / (R + m w theta))^2
     a_cross = -math.log1p(theta * lam1 / hbar**2)
     rows.append(_check_row(
-        "alpha_cross_consistency", abs(a_direct - a_cross) / abs(a_cross), 1e-12))
+        "alpha_cross_consistency", abs(a_direct - a_cross) / (abs(a_cross) or 1.0), 1e-12))  # absolute at 0
     rows.append(_check_row(
         "k_ratio_identity", abs(math.sqrt(k2 / k1) - lam2 / lam1) / (lam2 / lam1), 1e-12))
 

@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ConsistencyError,
-    DegenerateOscillatorError,
     FockContext,
     NumericalError,
     QuantumState,
@@ -43,6 +42,7 @@ from .core import (
     unvec,
     vec,
 )
+from .oscillator import lambdas
 
 __all__ = [
     "HamiltonianSpec",
@@ -153,11 +153,10 @@ def _potential_bands(ctx: FockContext, spec: HamiltonianSpec) -> list:
 def hamiltonian(ctx: FockContext, spec: HamiltonianSpec) -> Hamiltonian:
     """H = (P1^2 + P2^2)/2m + V for the spec's potential V; Hermitian by construction.
 
-    Raises DegenerateOscillatorError for the oscillator at omega = 0, which is
-    the free particle, as lambdas does.
+    The oscillator is refused where lambdas refuses it, as at omega = 0, which is the free particle.
     """
-    if spec.kind == "oscillator" and ctx.params.omega <= 0.0:
-        raise DegenerateOscillatorError("the oscillator needs omega > 0; omega = 0 is the free particle")
+    if spec.kind == "oscillator":
+        lambdas(ctx.params)
     return Hamiltonian(ctx, _potential_bands(ctx, spec))
 
 
@@ -287,7 +286,7 @@ def spectrum_levels(h: Hamiltonian):
     n = h.cutoff
     *_, blocks = _eig_cached(h)
     vals = np.concatenate([w for _, _, w, _ in blocks])
-    where = [(b, q) for b, (_, _, w, _) in enumerate(blocks) for q in range(len(w))]
+    start = np.cumsum([0] + [len(w) for _, _, w, _ in blocks])  # block b's eigenpairs are vals[start[b]:start[b + 1]]
     order = np.argsort(vals, kind="stable")
     ordered = vals[order]
     ctol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
@@ -296,16 +295,15 @@ def spectrum_levels(h: Hamiltonian):
     label = (h.ctx.params.hbar * -_unit_offsets(n)).reshape(-1)
     guard = max(n - 4, 0)
 
-    i = 0
-    while i < len(order):
-        j = i + 1  # the run [i, j): neighbours closer than ctol
-        while j < len(order) and ordered[j] - ordered[j - 1] < ctol:
-            j += 1
-        run = [where[q] for q in order[i:j]]
+    # a run ends where the next eigenvalue is ctol or more above it: run r is order[cuts[r]:cuts[r + 1]]
+    cuts = np.flatnonzero(np.diff(ordered, prepend=-np.inf, append=np.inf) >= ctol)
+    for i, j in zip(cuts, cuts[1:]):
+        run = order[i:j]
+        block = np.searchsorted(start, run, side="right") - 1
         found = []  # (eigenvalue, label, vec indices, eigenvector)
-        for b in dict.fromkeys(b for b, _ in run):
+        for b in dict.fromkeys(block.tolist()):  # each block once, in the order the run meets it
             idx, lz, w, v = blocks[b]
-            cols = [q for c, q in run if c == b]
+            cols = run[block == b] - start[b]
             vecs = v[:, cols]
             if lz is None:  # diagonalize the label over the block's columns in the run
                 label_block = vecs.conj().T @ (label[idx, None] * vecs)
@@ -320,7 +318,6 @@ def spectrum_levels(h: Hamiltonian):
             vec(op)[idx] = _phase_fixed(u)
             state = QuantumState(_frozen(op))
             yield e, state, lz, support_weight(state, guard)
-        i = j
 
 
 def solve_spectrum(h: Hamiltonian, count: int) -> SpectrumResult:

@@ -11,9 +11,11 @@ reversal is the conjugate transpose (anti-linear, never materialized).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import FockContext, QuantumState, SuperOperator, _unit_offsets
+from .core import ConfigurationError, FockContext, QuantumState, SuperOperator, _unit_offsets
 
 __all__ = [
     "position_ops",
@@ -41,7 +43,12 @@ def position_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
 
 
 def momentum_ops(ctx: FockContext) -> tuple[SuperOperator, SuperOperator]:
-    c, (x1, x2) = ctx.params.hbar / ctx.params.theta, _x_bands(ctx)
+    """(P1, P2); ConfigurationError where the scale hbar/theta has no finite square, which P^2 forms."""
+    p = ctx.params
+    c, (x1, x2) = p.hbar / p.theta, _x_bands(ctx)
+    if not math.isfinite(c * c):
+        raise ConfigurationError(f"the momentum scale hbar/theta = {c!r} has no finite square at theta = "
+                                 f"{p.theta!r}, hbar = {p.hbar!r}")
     return c * _commutator_action(ctx.cutoff, x2), -c * _commutator_action(ctx.cutoff, x1)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConfigurationError,
     ConsistencyError,
     DegenerateOscillatorError,
     FockContext,
@@ -56,18 +57,27 @@ def _radical(params: ModelParams) -> float:
     return math.hypot(2.0 * params.hbar, params.mass * params.omega * params.theta)
 
 
+def _named(params: ModelParams) -> str:
+    # the four model parameters, for a message that refuses them
+    return ", ".join(f"{name} = {getattr(params, name)!r}" for name in ("theta", "hbar", "mass", "omega"))
+
+
 def lambdas(params: ModelParams) -> tuple[float, float]:
     """The two Bogoliubov frequencies, lambda_1 >= lambda_2 > 0.
 
     Satisfy lambda_1 - lambda_2 = m^2 w^2 theta and lambda_1 lambda_2 = hbar^2 m^2 w^2
-    exactly.  Raises DegenerateOscillatorError at omega = 0.
+    exactly.  Raises DegenerateOscillatorError at omega = 0, and ConfigurationError when
+    either frequency is not a positive finite float (lambda_1 overflows, or hbar^2 m w underflows).
     """
     if params.omega <= 0.0:
-        raise DegenerateOscillatorError("lambdas need omega > 0; omega = 0 is the free particle")
+        raise DegenerateOscillatorError("the oscillator needs omega > 0; omega = 0 is the free particle")
     mw = params.mass * params.omega
     big = _radical(params) + mw * params.theta
     lam1 = 0.5 * mw * big
     lam2 = 2.0 * params.hbar**2 * mw / big
+    if not (0.0 < lam2 and 0.0 < lam1 < math.inf):
+        raise ConfigurationError(f"the oscillator frequencies lambda_1 = {lam1!r} and lambda_2 = {lam2!r} are not "
+                                 f"both positive finite floats at {_named(params)}")
     return lam1, lam2
 
 
@@ -83,13 +93,16 @@ def alpha(params: ModelParams) -> float:
     rewritten away via (R - m w theta)(R + m w theta) = 4 hbar^2; that form
     still loses relative precision as alpha -> 0 (difference of two O(1) logs),
     so agreement is required to 1e-12 with an absolute floor, not purely
-    relative.  Disagreement raises ConsistencyError.  alpha <= 0, with equality
-    only at theta = 0.
+    relative.  Disagreement raises ConsistencyError, and a theta lambda_1 / hbar^2 that
+    overflows ConfigurationError.  alpha <= 0, with equality only at theta = 0.
     """
     lam1, _ = lambdas(params)
     mwt = params.mass * params.omega * params.theta
     rad = _radical(params)
-    a = -math.log1p(params.theta * lam1 / params.hbar**2)
+    x = params.theta * lam1 / params.hbar**2  # e^{-alpha} - 1
+    if not math.isfinite(x):
+        raise ConfigurationError(f"theta lambda_1 / hbar^2 = {x!r} is not a finite float at {_named(params)}")
+    a = -math.log1p(x)
     a_check = 2.0 * (math.log(2.0 * params.hbar) - math.log(rad + mwt))
     # absolute floor at the roundoff of the individual logs, relative beyond
     floor = 1e-13 * max(1.0, abs(math.log(2.0 * params.hbar)), abs(math.log(rad + mwt)))
@@ -104,6 +117,8 @@ def k_norms(params: ModelParams) -> tuple[float, float]:
     h2 = params.hbar**2
     k1 = lam1 * (2.0 * lam1 * params.theta / h2 + 4.0)
     k2 = lam2 * (4.0 - 2.0 * lam2 * params.theta / h2)
+    if not math.isfinite(k1):  # K_2 < 4 lambda_2 is finite
+        raise ConfigurationError(f"the ladder normalizer K_1 = {k1!r} is not a finite float at {_named(params)}")
     return k1, k2
 
 
@@ -264,7 +279,7 @@ def ground_state(ctx: FockContext) -> QuantumState:
     a = alpha(ctx.params)
     w = ground_tail_weight(ctx.params)
     if w > _TAIL_MAX:
-        needed = 1
+        needed = math.ceil(1.0 / _TAIL_MAX)  # at alpha = 0 the weight is 1/N
         if a < 0.0:  # the bound above, with log(T / (T e^{2a} - expm1(2a))) = -log1p(x)
             x = (_TAIL_MAX - 1.0) * math.expm1(2.0 * a) / _TAIL_MAX
             needed = math.ceil(-math.log1p(x) / (2.0 * a)) + 1
@@ -284,6 +299,7 @@ def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
     section 9.10), and b_l u_{l+1} = a_l u_l - b_{l-1} u_{l-1} with a_l = l + (l + beta) c - j (1 - c)
     and b_l = sqrt((l + 1)(l + beta) c).  This runs up from u_0 = 1; if u starts to decay at a place p
     inside the block (a_l > b_l + b_{l-1} from p on), it runs down to p from 40/|alpha| places past the block.
+    Where c = 0 (e^{2 alpha} underflows) the sector matrix is diagonal, and the state is the limit.
     Besides ground_state's tail check, TruncationError refuses a diagonal that misses the block, and a
     block whose share of sum u_l^2 = c^-j j! / ((beta)_j (1 - c)^beta) is not a normal double.
     """
@@ -299,6 +315,18 @@ def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
                               f"outside the block; the cutoff N = {n} must exceed |n1 - n2|")
     a = alpha(ctx.params)
     j, beta, size, c = min(n1, n2), abs(k) + 1, n - abs(k), math.exp(2.0 * a)
+    if c == 0.0:  # u_l -> (-1)^j delta_lj as c -> 0, so the state is (-1)^n1 |n1><n2|, in the block or past it
+        u, share = (-1.0) ** j * np.eye(1, size, j)[0], float(j < size)
+    else:
+        u, share = _meixner(a, j, beta, size, c)
+    if not share >= np.finfo(float).tiny:
+        raise TruncationError(f"excited state ({n1}, {n2}) has no weight in the {n} x {n} block that a "
+                              "float can hold; raise the cutoff")
+    return QuantumState(np.diag((-1.0) ** max(k, 0) / np.linalg.norm(u) * u, -k).astype(complex))
+
+
+def _meixner(a: float, j: int, beta: int, size: int, c: float) -> tuple[np.ndarray, float]:
+    """excited_state's u on the block's places 0 .. size - 1, up to scale, and the block's share of sum u_l^2."""
     for l in (np.arange(float(math.ceil(size - reach / a))) for reach in (0.0, 40.0)):  # the block first
         diag, off = l + (l + beta) * c + j * math.expm1(2.0 * a), np.sqrt((l + 1.0) * (l + beta) * c)
         inside = np.flatnonzero(diag <= off + np.append(0.0, off[:-1]))  # an interval: a_l - b_l - b_{l-1} is convex
@@ -315,7 +343,4 @@ def excited_state(ctx: FockContext, n1: int, n2: int) -> QuantumState:
     u = np.append(u[1:q + 1], np.array(down[:0:-1]) * (u[q + 1] / down[-1]))[:size]
     share = math.exp(2.0 * (math.log(np.linalg.norm(u)) + shift * math.log(2.0) + a * j) - math.lgamma(j + 1.0)
                      + math.lgamma(j + beta) - math.lgamma(beta) + beta * math.log(-math.expm1(2.0 * a)))
-    if not share >= np.finfo(float).tiny:
-        raise TruncationError(f"excited state ({n1}, {n2}) has no weight in the {n} x {n} block that a "
-                              "float can hold; raise the cutoff")
-    return QuantumState(np.diag((-1.0) ** max(k, 0) / np.linalg.norm(u) * u, -k).astype(complex))
+    return u, share

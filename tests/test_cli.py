@@ -591,6 +591,21 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
     (["probability", "--state", "plane:nan", "--points", "5", "--out", "{csv}"], 2),
     (["probability", "--points", "5", "--theta", "1e-300", "--out", "{csv}"], 2),  # needs cutoff 3.04e+301
     (["probability", "--extent", "1e300", "--points", "5", "--out", "{csv}"], 2),  # needs cutoff inf
+    (["check", "--suite", "oscillator-oracle", "--mass", "1e150", "--omega", "1e150"], 2),  # lambda_1 = inf
+    (["spectrum", "--mass", "1e150", "--omega", "1e150"], 2),  # once a NaN Hermiticity defect, exit 3
+    (["spectrum", "--hbar", "1e-160"], 2),  # theta lambda_1 / hbar^2 overflows
+    (["spectrum", "--hbar", "1e-300"], 2),  # hbar^2 underflows: lambda_2 = 0
+    (["check", "--suite", "oscillator-oracle", "--omega", "1e-300"], 2),  # (hbar m omega)^2 underflows
+    (["probability", "--theta", "5e-324", "--mass", "0.1", "--cutoff", "40", "--points", "5", "--out", "{csv}"],
+     2),  # the ground state's spread is infinite
+    (["evolve", "--theta", "1e-300", "--mass", "1e-30"], 2),  # evolve reads no grid extent
+    (["probability", "--theta", "5e-324", "--mass", "0.1", "--cutoff", "40", "--extent", "1", "--points", "5",
+      "--out", "{csv}"], 3),  # alpha = -0.0: need N >= 1000
+    (["check", "--suite", "oscillator-oracle", "--theta", "5e-324", "--mass", "0.1"], 3),  # alpha = -0.0
+    (["check", "--suite", "oscillator-oracle", "--theta", "1e150"], 2),  # K_1 overflows
+    (["check", "--suite", "oscillator-oracle", "--mass", "1e150"], 2),
+    (["evolve", "--theta", "1e-160", "--cutoff", "1000"], 2),  # the Hamiltonian is refused before the state
+    (["check", "--suite", "algebra", "--theta", "1e-300"], 2),  # (hbar/theta)^2 overflows
 ], ids=["time-nan", "config-time-nan", "time-overflow", "extent-nan", "extent-overflow",
         "extent-zero", "config-extent-zero", "excited-off-block", "excited-far-off-block",
         "tiny-theta-evolve", "tiny-theta-check", "theta-kinetic-overflow", "theta-squared-underflow",
@@ -599,7 +614,10 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, bad):
         "coherent-inf-probability", "coherent-square-overflow-probability", "coherent-square-overflow",
         "plane-square-overflow", "kappa-square-overflow", "config-kappa-text", "config-kappa-null",
         "coherent-nan", "coherent-inf", "coherent-imag-nan", "free-kappa-nan", "spectrum-kappa-nan",
-        "plane-nan", "tiny-theta-auto-cutoff", "huge-extent-auto-cutoff"])
+        "plane-nan", "tiny-theta-auto-cutoff", "huge-extent-auto-cutoff", "lambda1-overflow-oracle",
+        "lambda1-overflow-spectrum", "alpha-overflow", "lambda2-underflow", "oracle-scale-underflow",
+        "infinite-ground-spread", "evolve-reads-no-extent", "alpha-zero-advice", "alpha-zero-oracle",
+        "k1-overflow-theta", "k1-overflow-mass", "evolve-refuses-hamiltonian-first", "momentum-scale-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the message is the only output
 def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expected):
     cfg = tmp_path / "cfg.json"
@@ -617,6 +635,15 @@ def test_non_finite_values_never_reach_the_output(capsys, tmp_path, argv, expect
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.glob("p.csv*"))  # neither the grid nor its sidecar
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--hbar"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_free_particle_takes_no_oscillator_scale(capsys, flag):
+    # the oscillator refuses omega = 1e-300 (need N >= 1001) and hbar = 1e-300 (lambda_2 = 0); the free
+    # particle's plane wave uses no closed form that takes them
+    report = run_json(capsys, ["spectrum", "--system", "free", "--kappa", "0.01", flag, "1e-300"])
+    assert report["params"][flag[2:]] == 1e-300 and math.isfinite(report["levels"][0]["interior_residual"])
 
 
 # ---------------------------------------------------------------- imports

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncqm import (
+    ConfigurationError,
     HamiltonianSpec,
     ModelParams,
     QuantumState,
@@ -66,6 +67,15 @@ def test_momenta_match_ladder_commutator_form(ctx, obs):
         commutator = c * (np.kron(ladder, eye) - np.kron(eye, ladder.T))  # L psi R <-> kron(L, R^T)
         scale = np.max(np.abs(commutator))
         assert np.max(np.abs(p1m + sign * 1j * p2m - commutator)) < 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_momenta_refuse_a_scale_with_no_finite_square():
+    # at theta = 1e-300, P1 P2 psi once overflowed in apply's intermediate c (c psi), with a RuntimeWarning
+    for theta in (1e-160, 1e-300):
+        with pytest.raises(ConfigurationError, match=f"hbar/theta = .* at theta = {theta!r}, hbar = 1.0"):
+            momentum_ops(build_fock(ModelParams(theta=theta, cutoff=8)))
+    momentum_ops(build_fock(ModelParams(theta=1e-150, cutoff=8)))  # (hbar/theta)^2 = 1e300
 
 
 def _hermitian_defect(mat):

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncqm import (
+    ConfigurationError,
     DegenerateOscillatorError,
     HamiltonianSpec,
     ModelParams,
@@ -84,6 +85,23 @@ def test_degenerate_frequency_raises():
     # omega = 0 is the free particle: hamiltonian refuses it under the oscillator's name too
     with pytest.raises(DegenerateOscillatorError, match="omega > 0"):
         hamiltonian(build_fock(replace(p, cutoff=8)), HamiltonianSpec("oscillator"))
+
+
+@pytest.mark.parametrize("overrides,fn,match", [
+    ({"mass": 1e150, "omega": 1e150}, lambdas, "lambda_1 = inf"),  # lambda_1 overflows
+    ({"hbar": 1e-300}, lambdas, "lambda_2 = 0.0"),  # hbar^2 underflows
+    ({"hbar": 1e-160}, alpha, "theta lambda_1 / hbar\\^2 = inf"),  # once alpha = -inf, its cross-check passed
+    ({"theta": 1e150}, k_norms, "K_1 = inf"),
+], ids=["lambda1-overflow", "lambda2-underflow", "alpha-overflow", "k1-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_forms_refuse_scales_a_float_cannot_hold(overrides, fn, match):
+    p = replace(P01, **overrides)
+    with pytest.raises(ConfigurationError, match=match) as refused:
+        fn(p)
+    assert all(f"{name} = {getattr(p, name)!r}" in str(refused.value) for name in ("theta", "hbar", "mass", "omega"))
+    if fn is lambdas:  # the oscillator's Hamiltonian asks lambdas
+        with pytest.raises(ConfigurationError, match=match):
+            hamiltonian(build_fock(replace(p, cutoff=8)), HamiltonianSpec("oscillator"))
 
 
 def test_alpha_value_and_cross_identity():
@@ -208,6 +226,15 @@ def test_ground_state_advises_the_least_cutoff_that_passes(theta):
 
     # ground_state refuses exactly when the tail weight exceeds _TAIL_MAX
     assert tail(needed) <= oscillator._TAIL_MAX < tail(needed - 1)
+
+
+def test_ground_state_advises_a_thousand_levels_at_alpha_zero():
+    # theta lambda_1 / hbar^2 underflows, so alpha = -0.0 and the tail weight is 1/N: N >= 1 / _TAIL_MAX passes
+    p = ModelParams(theta=5e-324, mass=0.1, cutoff=30)
+    assert alpha(p) == 0.0
+    with pytest.raises(TruncationError, match="need N >= 1000$"):
+        ground_state(build_fock(p))
+    assert ground_tail_weight(replace(p, cutoff=1000)) <= oscillator._TAIL_MAX < ground_tail_weight(replace(p, cutoff=999))
 
 
 def test_ground_tail_weight_matches_top_entry(ctx01):
@@ -470,6 +497,22 @@ def test_excited_states_out_of_reach_are_refused_and_in_reach_stay_finite(ctx01)
     # at theta = 1 the block of (985, 985) holds 1e-692 of its weight, below every normal double
     with pytest.raises(TruncationError, match="raise the cutoff"):
         excited_state(build_fock(ModelParams(theta=1.0, cutoff=30)), 985, 985)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_excited_state_at_c_zero_is_the_matrix_unit():
+    # at theta = 1e150, c = e^{2 alpha} underflows to 0 and the sector matrix is diagonal: the recurrence once
+    # divided by its b_l = 0.  The limit (-1)^n1 |n1><n2| is what the recurrence gives at c = 1e-160 (theta = 1e40)
+    pairs = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 3), (7, 0), (0, 7), (7, 7))
+    for theta in (1e150, 1e40):
+        ctx = build_fock(ModelParams(theta=theta, cutoff=8))
+        assert (math.exp(2.0 * alpha(ctx.params)) == 0.0) == (theta == 1e150)
+        for n1, n2 in pairs:
+            unit = np.zeros((8, 8))
+            unit[n1, n2] = (-1.0) ** n1
+            assert np.max(np.abs(excited_state(ctx, n1, n2).op - unit)) < 1e-15
+    with pytest.raises(TruncationError, match="raise the cutoff"):  # |8><1| lies on the diagonal k = 7, past the block
+        excited_state(build_fock(ModelParams(theta=1e150, cutoff=8)), 8, 1)
 
 
 def test_excited_state_validation(ctx01):
